@@ -16,6 +16,7 @@
 // CORELITE_NO_BATCH, read at EventQueue/Link construction).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 
@@ -166,6 +167,87 @@ TEST(GoldenDeterminism, BothTiersOffStillMatchesTheGoldenFingerprint) {
   EXPECT_EQ(fp.events, 444442u);
   EXPECT_EQ(fp.delivered, 36665u);
   EXPECT_EQ(fp.checksum, 0xfcdc133cb00a346bULL);
+}
+
+// ---------------------------------------------------------------------------
+// Side channels: the ScenarioResult fields the sweep's result digest does
+// not cover (drop timing, queue series, q_avg means, unrouteable count,
+// fluid outcome, audit verdict).  Pinned so a rewiring of the scenario
+// layer cannot move them unnoticed.
+
+struct SideHash {
+  std::uint64_t h = 1469598103934665603ULL;
+  void mix(std::uint64_t v) { h = fnv1a(h, v); }
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+};
+
+std::uint64_t side_channel_hash(const scenario::ScenarioSpec& spec) {
+  const auto r = scenario::run_paper_scenario(spec);
+  SideHash d;
+  d.mix(static_cast<std::uint64_t>(r.drop_times.size()));
+  for (double t : r.drop_times) d.mix(t);
+  d.mix(static_cast<std::uint64_t>(r.queue_series.size()));
+  for (const auto& s : r.queue_series) {
+    for (const auto& p : s.points()) {
+      d.mix(p.t);
+      d.mix(p.v);
+    }
+  }
+  // q_avg means are pinned for the paper chain only.
+  if (!spec.generated.has_value()) {
+    d.mix(static_cast<std::uint64_t>(r.mean_q_avg.size()));
+    for (double q : r.mean_q_avg) d.mix(q);
+  }
+  d.mix(r.unrouteable);
+  const auto& f = r.fluid_stats;
+  d.mix(static_cast<std::uint64_t>(f.enabled));
+  d.mix(f.fast_forwarded_sec);
+  d.mix(f.steady_detected_sec);
+  d.mix(f.jumps);
+  d.mix(f.events_elided_est);
+  d.mix(f.synth_delivered);
+  d.mix(f.synth_sent);
+  d.mix(f.synth_dropped);
+  d.mix(f.cert_attempts);
+  d.mix(f.cert_reject_min_skip);
+  d.mix(f.cert_reject_drift);
+  d.mix(f.cert_reject_agreement);
+  d.mix(f.cert_dwell_at_accept_sum);
+  d.mix(static_cast<std::uint64_t>(r.audit_report != nullptr));
+  if (r.audit_report != nullptr) {
+    const auto& a = *r.audit_report;
+    d.mix(static_cast<std::uint64_t>(a.watchdog_fired));
+    d.mix(a.watchdog_window);
+    d.mix(static_cast<std::uint64_t>(a.windows.size()));
+    d.mix(a.min_jain);
+    d.mix(a.worst_deviation);
+    d.mix(static_cast<std::uint64_t>(a.worst_flow));
+  }
+  return d.h;
+}
+
+scenario::ScenarioSpec named(const char* name, scenario::Mechanism m) {
+  auto spec = scenario::scenario_by_name(name, m);
+  EXPECT_TRUE(spec.has_value()) << name;
+  return spec.value_or(scenario::ScenarioSpec{});
+}
+
+TEST(GoldenDeterminism, SideChannelsMatchTheirPinnedHashes) {
+  using scenario::Mechanism;
+  EXPECT_EQ(side_channel_hash(named("fig5", Mechanism::Corelite)), 0x299068e56ae5ab1dULL);
+  EXPECT_EQ(side_channel_hash(named("fig5", Mechanism::Csfq)), 0xa158c04b6e56ed89ULL);
+
+  auto audited = named("fig5", Mechanism::Corelite);
+  audited.audit.enabled = true;
+  EXPECT_EQ(side_channel_hash(audited), 0x3663dbd9835b9692ULL);
+
+  auto gen = named("gen-pl8-300", Mechanism::Csfq);
+  gen.duration = sim::SimTime::seconds(10);
+  EXPECT_EQ(side_channel_hash(gen), 0x426ed80a05a38c70ULL);
+
+  auto fluid = named("gen-pl8-300-steady", Mechanism::Corelite);
+  fluid.fluid.enabled = true;
+  EXPECT_EQ(side_channel_hash(fluid), 0x1c15fb7884050502ULL);
 }
 
 }  // namespace

@@ -1,17 +1,27 @@
 #!/usr/bin/env python3
-"""Fluid-off golden digest gate.
+"""Golden digest gate over the full scenario matrix.
 
-Runs every paper scenario (fig3/fig5/fig7/fig9 x corelite/csfq) through
-corelite_sim WITHOUT --fluid and compares the result digest against the
-committed manifest (tools/golden_digests.json).  The fluid machinery is
-compiled into the binary but disabled by default; any digest drift here
-means fluid-off is no longer bit-identical to the pure packet engine —
-the single most important invariant of the hybrid design.
+Runs every row of MATRIX through corelite_sim and compares the printed
+result digest against the committed manifest (tools/golden_digests.json):
+
+  - fig3/5/7/9 x all nine mechanisms (default durations, seed 1);
+  - gen-pl8-300, gen-ft4-300 and gen-isp32-300 x {corelite, csfq, wfq,
+    ecnbit} at --duration 10;
+  - --lp 2 rows for fig5 and gen-pl8-300 (the partitioned engine's
+    digest is a pure function of the spec and the LP count);
+  - one --fluid row on gen-pl8-300-steady and one --audit row on fig5
+    (both change the digest deterministically: fluid jumps and audit
+    sampler events are part of the run).
+
+The plain rows are the bit-identity witness that the fluid machinery,
+compiled in but disabled, does not perturb the packet engine, and that
+any refactor of the scenario layer rewires every topology and mechanism
+exactly as before.
 
 Digests depend on the scenarios' default seeds and durations and on the
-serial engine's event ordering.  After an INTENTIONAL behaviour change
-(new default, scheduler fix, ...) regenerate with --update and commit
-the new manifest alongside the change that explains it.
+engine's event ordering.  After an INTENTIONAL behaviour change (new
+default, scheduler fix, ...) regenerate with --update and commit the new
+manifest alongside the change that explains it.
 
 Exit status: 0 = all digests match, 1 = any drift (or missing digest).
 """
@@ -20,23 +30,43 @@ import argparse
 import json
 import re
 import subprocess
-import sys
+import tempfile
 from pathlib import Path
 
 MANIFEST = Path(__file__).resolve().parent / "golden_digests.json"
 
-SCENARIOS = ["fig3", "fig5", "fig7", "fig9"]
-MECHANISMS = ["corelite", "csfq"]
+PAPER = ["fig3", "fig5", "fig7", "fig9"]
+MECHANISMS = ["corelite", "csfq", "droptail", "red", "fred", "wfq", "ecnbit", "choke", "sfq"]
+GENERATED = ["gen-pl8-300", "gen-ft4-300", "gen-isp32-300"]
+GENERATED_MECHANISMS = ["corelite", "csfq", "wfq", "ecnbit"]
+SHORT = ["--duration", "10"]
 
 
-def run_digest(binary, scenario, mechanism):
-    # The digest line only prints under --telemetry.
-    out = subprocess.run(
-        [binary, "--scenario", scenario, "--mechanism", mechanism, "--telemetry"],
-        check=True, capture_output=True, text=True).stdout
+def run_args(scenario, mechanism, *extra):
+    return ["--scenario", scenario, "--mechanism", mechanism, *extra]
+
+
+# One table of (manifest key, corelite_sim arguments).
+MATRIX = (
+    [(f"{s}/{m}", run_args(s, m)) for s in PAPER for m in MECHANISMS]
+    + [(f"{s}/{m}", run_args(s, m, *SHORT)) for s in GENERATED for m in GENERATED_MECHANISMS]
+    + [(f"fig5/{m}/lp2", run_args("fig5", m, "--lp", "2")) for m in ["corelite", "csfq"]]
+    + [(f"gen-pl8-300/{m}/lp2", run_args("gen-pl8-300", m, *SHORT, "--lp", "2"))
+       for m in ["corelite", "csfq"]]
+    + [("gen-pl8-300-steady/corelite/fluid",
+        run_args("gen-pl8-300-steady", "corelite", "--fluid")),
+       ("fig5/corelite/audit", run_args("fig5", "corelite", "--audit"))]
+)
+
+
+def run_digest(binary, key, argv, workdir):
+    # The digest line only prints under --telemetry.  Run in a scratch
+    # directory so the manifest and audit files it writes go there.
+    out = subprocess.run([binary, *argv, "--telemetry", "--quiet"], cwd=workdir,
+                         check=True, capture_output=True, text=True).stdout
     m = re.search(r"result digest: ([0-9a-f]+)", out)
     if not m:
-        raise SystemExit(f"{scenario}/{mechanism}: no 'result digest:' line in output")
+        raise SystemExit(f"{key}: no 'result digest:' line in output")
     return m.group(1)
 
 
@@ -46,20 +76,20 @@ def main():
     ap.add_argument("--update", action="store_true",
                     help="rewrite the manifest with freshly measured digests")
     args = ap.parse_args()
+    binary = str(Path(args.binary).resolve())
 
     manifest = json.loads(MANIFEST.read_text())
     failed = False
-    for scenario in SCENARIOS:
-        for mechanism in MECHANISMS:
-            key = f"{scenario}/{mechanism}"
-            got = run_digest(args.binary, scenario, mechanism)
+    with tempfile.TemporaryDirectory() as workdir:
+        for key, argv in MATRIX:
+            got = run_digest(binary, key, argv, workdir)
             if args.update:
                 manifest[key] = got
-                print(f"{key:16s} {got}")
+                print(f"{key:36s} {got}")
                 continue
             want = manifest.get(key)
             ok = got == want
-            print(f"{key:16s} {got}  {'PASS' if ok else f'FAIL (expected {want})'}")
+            print(f"{key:36s} {got}  {'PASS' if ok else f'FAIL (expected {want})'}")
             failed = failed or not ok
 
     if args.update:
@@ -68,7 +98,7 @@ def main():
         return
     if failed:
         raise SystemExit(1)
-    print("golden digests: fluid-off is bit-identical on the full scenario matrix")
+    print(f"golden digests: all {len(MATRIX)} rows bit-identical")
 
 
 if __name__ == "__main__":
