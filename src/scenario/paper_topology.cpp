@@ -1,9 +1,54 @@
 #include "scenario/paper_topology.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 #include <string>
 
 namespace corelite::scenario {
+
+net::Link& connect_core_directed(net::Network& network, net::NodeId from, net::NodeId to,
+                                 const PaperTopologyConfig& q) {
+  // AQM queues draw from the link's owning simulator's RNG (the from
+  // node's LP): serially that is the one global stream; in LP mode it
+  // keeps every draw single-threaded.
+  switch (q.core_queue) {
+    case CoreQueueKind::Red: {
+      auto red_cfg = q.red;
+      red_cfg.capacity_data_packets = q.queue_capacity_packets;
+      return network.connect_with_queue(
+          from, to, q.link_rate, q.link_delay,
+          std::make_unique<net::RedQueue>(red_cfg, network.local_rng(from)));
+    }
+    case CoreQueueKind::Fred: {
+      auto fred_cfg = q.fred;
+      fred_cfg.capacity_data_packets = q.queue_capacity_packets;
+      return network.connect_with_queue(
+          from, to, q.link_rate, q.link_delay,
+          std::make_unique<net::FredQueue>(fred_cfg, network.local_rng(from)));
+    }
+    case CoreQueueKind::Choke: {
+      auto choke_cfg = q.choke;
+      choke_cfg.capacity_data_packets = q.queue_capacity_packets;
+      return network.connect_with_queue(
+          from, to, q.link_rate, q.link_delay,
+          std::make_unique<net::ChokeQueue>(choke_cfg, network.local_rng(from)));
+    }
+    case CoreQueueKind::Sfq: {
+      const std::size_t per_band =
+          std::max<std::size_t>(2, q.queue_capacity_packets / q.sfq_bands);
+      return network.connect_with_queue(from, to, q.link_rate, q.link_delay,
+                                        std::make_unique<net::SfqQueue>(q.sfq_bands, per_band));
+    }
+    case CoreQueueKind::Wfq:
+      return network.connect_with_queue(
+          from, to, q.link_rate, q.link_delay,
+          std::make_unique<net::WfqQueue>(q.queue_capacity_packets, q.wfq_weight_of));
+    case CoreQueueKind::DropTail:
+      break;
+  }
+  return network.connect(from, to, q.link_rate, q.link_delay, q.queue_capacity_packets);
+}
 
 std::pair<std::size_t, std::size_t> PaperTopology::core_span(net::FlowId flow_1based) {
   assert(flow_1based >= 1);
@@ -41,60 +86,9 @@ PaperTopology::PaperTopology(net::Network& network, std::size_t num_flows,
     // The forward (congested) direction runs the configured discipline;
     // the reverse direction carries only control traffic and stays
     // drop-tail.
-    switch (cfg_.core_queue) {
-      case CoreQueueKind::Red: {
-        auto red_cfg = cfg_.red;
-        red_cfg.capacity_data_packets = cfg_.queue_capacity_packets;
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::RedQueue>(red_cfg, network.local_rng(cores_[i])));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Fred: {
-        auto fred_cfg = cfg_.fred;
-        fred_cfg.capacity_data_packets = cfg_.queue_capacity_packets;
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::FredQueue>(fred_cfg, network.local_rng(cores_[i])));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Choke: {
-        auto choke_cfg = cfg_.choke;
-        choke_cfg.capacity_data_packets = cfg_.queue_capacity_packets;
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::ChokeQueue>(choke_cfg, network.local_rng(cores_[i])));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Sfq: {
-        const std::size_t per_band =
-            std::max<std::size_t>(2, cfg_.queue_capacity_packets / cfg_.sfq_bands);
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::SfqQueue>(cfg_.sfq_bands, per_band));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::Wfq: {
-        network.connect_with_queue(
-            cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-            std::make_unique<net::WfqQueue>(cfg_.queue_capacity_packets, cfg_.wfq_weight_of));
-        network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
-                        cfg_.queue_capacity_packets);
-        break;
-      }
-      case CoreQueueKind::DropTail:
-        network.connect_duplex(cores_[i], cores_[i + 1], cfg_.link_rate, cfg_.link_delay,
-                               cfg_.queue_capacity_packets);
-        break;
-    }
+    connect_core_directed(network, cores_[i], cores_[i + 1], cfg_);
+    network.connect(cores_[i + 1], cores_[i], cfg_.link_rate, cfg_.link_delay,
+                    cfg_.queue_capacity_packets);
   }
   endpoints_.reserve(num_flows);
   for (std::size_t f = 1; f <= num_flows; ++f) {

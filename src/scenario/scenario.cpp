@@ -1,12 +1,15 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "csfq/core.h"
@@ -149,64 +152,280 @@ struct DropRecorder final : net::LinkObserver {
   void on_link_destroyed(net::Link& /*l*/) override { link = nullptr; }
 };
 
-net::FlowSpec make_flow_spec(const ScenarioSpec& spec, std::size_t i /*0-based*/,
-                             const FlowEndpoints& ep) {
-  net::FlowSpec fs;
-  fs.id = static_cast<net::FlowId>(i + 1);
-  fs.ingress = ep.ingress;
-  fs.egress = ep.egress;
-  fs.weight = spec.weights.at(i);
-  if (i < spec.activity.size() && !spec.activity[i].empty()) {
-    fs.active = spec.activity[i];
+/// A wired scenario network, as a topology builder hands it to the runner.
+struct WiredTopology {
+  std::vector<net::NodeId> routers;  ///< core machinery runs on each
+  std::vector<net::NodeId> ingress;  ///< attach nodes hosting one edge router each
+  std::vector<net::NodeId> egress;   ///< attach nodes hosting one delivery sink each
+  std::vector<net::FlowSpec> flows;  ///< id order, ingress/egress set
+  /// Drop times, queue series, audit gauges, q_avg means and the
+  /// instrument hook all follow this order.
+  std::vector<net::Link*> bottlenecks;
+  /// Per-flow constraint sets, filled only when fluid or audit runs:
+  /// link capacities (pkt/s) and, per flow in `flows` order, the
+  /// indices of the links the flow is constrained by.
+  std::vector<double> link_caps;
+  std::vector<std::vector<std::uint32_t>> flow_links;
+  bool record_series = true;
+};
+
+/// One topology family.  The router graph comes without a network
+/// because the LP partition must pin every router before the first node
+/// exists; `wire` then builds routers, attach nodes and links (router i
+/// on LP (*lp_of_router)[i], everything on LP 0 when null), computes the
+/// routes and describes the result, constraint sets included on request.
+struct TopologyBuilder {
+  sim::par::LpGraph lp_graph;
+  std::function<WiredTopology(net::Network&, const std::vector<std::uint32_t>* lp_of_router,
+                              bool constraints)>
+      wire;
+};
+
+/// `q` with the core queue discipline the spec's mechanism runs;
+/// weight_of_id[f] is flow f's weight, known to WFQ cores.
+PaperTopologyConfig with_discipline(const ScenarioSpec& spec, PaperTopologyConfig q,
+                                    std::vector<double> weight_of_id) {
+  if (spec.mechanism == Mechanism::Red) q.core_queue = CoreQueueKind::Red;
+  if (spec.mechanism == Mechanism::Fred) q.core_queue = CoreQueueKind::Fred;
+  if (spec.mechanism == Mechanism::Choke) q.core_queue = CoreQueueKind::Choke;
+  if (spec.mechanism == Mechanism::Sfq) q.core_queue = CoreQueueKind::Sfq;
+  if (spec.mechanism == Mechanism::Wfq) {
+    q.core_queue = CoreQueueKind::Wfq;
+    q.wfq_weight_of = [w = std::move(weight_of_id)](net::FlowId f) {
+      return f < w.size() ? w[f] : 1.0;
+    };
   }
-  if (i < spec.min_rates.size()) fs.min_rate_pps = spec.min_rates[i];
-  if (i < spec.flood_pps.size()) fs.flood_pps = spec.flood_pps[i];
-  return fs;
+  return q;
+}
+
+/// The paper's Figure-2 chain: four cores with the discipline on the
+/// forward core links only, and private attach nodes for every flow.
+TopologyBuilder figure2_chain(const ScenarioSpec& spec) {
+  TopologyBuilder b;
+  // Every flow's attach nodes follow its entry/exit core, so the three
+  // inter-core links are the only candidate cut links: at most 4 LPs,
+  // with the core link delay as lookahead.
+  b.lp_graph.nodes = PaperTopology::kCoreCount;
+  for (std::uint32_t i = 0; i + 1 < PaperTopology::kCoreCount; ++i) {
+    b.lp_graph.edges.push_back({i, i + 1, spec.topology.link_delay.sec(), true});
+  }
+  b.wire = [&spec](net::Network& network, const std::vector<std::uint32_t>* lp_of_router,
+                   bool constraints) {
+    std::vector<double> weight_of_id(spec.num_flows + 1, 1.0);
+    std::copy(spec.weights.begin(), spec.weights.end(), weight_of_id.begin() + 1);
+    const PaperTopology chain{network, spec.num_flows,
+                              with_discipline(spec, spec.topology, std::move(weight_of_id)),
+                              lp_of_router};
+    network.build_routes();
+
+    WiredTopology t;
+    t.routers = chain.cores();
+    for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
+      t.bottlenecks.push_back(chain.congested_link(network, i));
+    }
+    if (constraints) t.link_caps.assign(PaperTopology::kCongestedLinks, chain.capacity_pps());
+    t.flows.reserve(spec.num_flows);
+    for (std::size_t i = 0; i < spec.num_flows; ++i) {
+      const auto id = static_cast<net::FlowId>(i + 1);
+      const FlowEndpoints& ep = chain.endpoints(id);
+      t.ingress.push_back(ep.ingress);
+      t.egress.push_back(ep.egress);
+      net::FlowSpec fs;
+      fs.id = id;
+      fs.ingress = ep.ingress;
+      fs.egress = ep.egress;
+      fs.weight = spec.weights[i];
+      if (i < spec.activity.size() && !spec.activity[i].empty()) fs.active = spec.activity[i];
+      if (i < spec.min_rates.size()) fs.min_rate_pps = spec.min_rates[i];
+      if (i < spec.flood_pps.size()) fs.flood_pps = spec.flood_pps[i];
+      t.flows.push_back(std::move(fs));
+      if (constraints) {
+        std::vector<std::uint32_t>& links = t.flow_links.emplace_back();
+        for (std::size_t l : PaperTopology::congested_links(id)) {
+          links.push_back(static_cast<std::uint32_t>(l));
+        }
+      }
+    }
+    return t;
+  };
+  return b;
+}
+
+/// A generated graph: the discipline on both directions of every
+/// router-router link (generated graphs have no dedicated forward
+/// direction), and one source and one sink attach node per designated
+/// router, so node count stays O(routers) and a 100k-flow population
+/// shares O(routers) access links.  The population is a pure function
+/// of (topology, config, duration, seed): sweep workers regenerate it
+/// independently and still land on bit-identical digests.
+TopologyBuilder generated_graph(const ScenarioSpec& spec) {
+  const GeneratedWorkload& wl = *spec.generated;
+  const GeneratedTopology& topo = wl.topology;
+  TopologyBuilder b;
+  // Cut preferentially at the designated bottlenecks; attach nodes share
+  // their router's LP, so only router-router links can cross LPs.
+  std::vector<bool> is_bottleneck(topo.links.size(), false);
+  for (std::size_t idx : topo.bottlenecks) {
+    if (idx < is_bottleneck.size()) is_bottleneck[idx] = true;
+  }
+  b.lp_graph.nodes = topo.routers;
+  b.lp_graph.edges.reserve(topo.links.size());
+  for (std::size_t i = 0; i < topo.links.size(); ++i) {
+    const GenLink& l = topo.links[i];
+    b.lp_graph.edges.push_back({l.a, l.b, topo.cfg.link_delay.sec(), is_bottleneck[i]});
+  }
+  b.wire = [&spec, &wl, &topo,
+            flows = generate_flows(topo, wl.flows, spec.duration.sec(), spec.seed)](
+               net::Network& network, const std::vector<std::uint32_t>* lp_of_router,
+               bool constraints) mutable {
+    // The generator's link knobs over the spec's discipline parameters.
+    PaperTopologyConfig q = spec.topology;
+    q.link_rate = topo.cfg.core_rate;
+    q.link_delay = topo.cfg.link_delay;
+    q.queue_capacity_packets = topo.cfg.queue_capacity_packets;
+    q.packet_size = topo.cfg.packet_size;
+    std::vector<double> weight_of_id(wl.flows.num_flows + 1, 1.0);
+    for (const GenFlow& f : flows) weight_of_id[f.id] = f.weight;
+    q = with_discipline(spec, std::move(q), std::move(weight_of_id));
+
+    WiredTopology t;
+    t.record_series = wl.flows.record_series;
+    t.routers.reserve(topo.routers);
+    for (std::size_t r = 0; r < topo.routers; ++r) {
+      t.routers.push_back(network.add_node("R" + std::to_string(r),
+                                           lp_of_router != nullptr ? (*lp_of_router)[r] : 0u));
+    }
+    std::vector<net::Link*> forward_of_link(topo.links.size(), nullptr);
+    for (std::size_t i = 0; i < topo.links.size(); ++i) {
+      const GenLink& l = topo.links[i];
+      forward_of_link[i] = &connect_core_directed(network, t.routers[l.a], t.routers[l.b], q);
+      connect_core_directed(network, t.routers[l.b], t.routers[l.a], q);
+    }
+    for (std::size_t idx : topo.bottlenecks) t.bottlenecks.push_back(forward_of_link.at(idx));
+
+    // Access links are fat drop-tail pipes: the core links are the bottlenecks.
+    std::vector<net::NodeId> src_node(topo.routers, net::kInvalidNode);
+    std::vector<net::NodeId> dst_node(topo.routers, net::kInvalidNode);
+    for (std::uint32_t r : topo.sources) {
+      src_node[r] = network.add_node("S" + std::to_string(r), network.lp_of(t.routers[r]));
+      network.connect_duplex(src_node[r], t.routers[r], topo.cfg.access_rate, topo.cfg.link_delay,
+                             topo.cfg.queue_capacity_packets);
+      t.ingress.push_back(src_node[r]);
+    }
+    for (std::uint32_t r : topo.sinks) {
+      dst_node[r] = network.add_node("D" + std::to_string(r), network.lp_of(t.routers[r]));
+      network.connect_duplex(t.routers[r], dst_node[r], topo.cfg.access_rate, topo.cfg.link_delay,
+                             topo.cfg.queue_capacity_packets);
+      t.egress.push_back(dst_node[r]);
+    }
+    network.build_routes();
+
+    t.flows.reserve(flows.size());
+    for (GenFlow& f : flows) {
+      net::FlowSpec fs;
+      fs.id = f.id;
+      fs.ingress = src_node[f.src_router];
+      fs.egress = dst_node[f.dst_router];
+      fs.weight = f.weight;
+      fs.active = std::move(f.windows);
+      if (f.id >= 1 && f.id - 1 < spec.flood_pps.size()) fs.flood_pps = spec.flood_pps[f.id - 1];
+      t.flows.push_back(std::move(fs));
+    }
+    if (constraints) {
+      // Each flow is constrained by its routed path: walk it once and
+      // dense-index every link met.  Access links take part too; fat by
+      // construction, they never bind in the water-filling.
+      std::unordered_map<const net::Link*, std::uint32_t> link_index;
+      t.flow_links.resize(t.flows.size());
+      for (std::size_t fi = 0; fi < t.flows.size(); ++fi) {
+        const std::vector<net::NodeId> hops = network.path(t.flows[fi].ingress, t.flows[fi].egress);
+        for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
+          const net::Link* l = network.find_link(hops[h], hops[h + 1]);
+          if (l == nullptr) continue;
+          const auto [it, fresh] =
+              link_index.emplace(l, static_cast<std::uint32_t>(t.link_caps.size()));
+          if (fresh) t.link_caps.push_back(l->rate().pps(topo.cfg.packet_size));
+          t.flow_links[fi].push_back(it->second);
+        }
+      }
+    }
+    return t;
+  };
+  return b;
+}
+
+/// Spec-shape checks, in every build type: a mismatched spec from a
+/// config script or a library caller must fail, not run silently.
+void validate(const ScenarioSpec& spec) {
+  if (spec.generated.has_value()) {
+    const GeneratedWorkload& wl = *spec.generated;
+    if (spec.num_flows != wl.flows.num_flows) {
+      throw std::invalid_argument("spec.num_flows (" + std::to_string(spec.num_flows) +
+                                  ") must equal generated->flows.num_flows (" +
+                                  std::to_string(wl.flows.num_flows) + ")");
+    }
+    if (!wl.topology.connected()) {
+      throw std::invalid_argument("generated topology '" + wl.topology.name +
+                                  "' is not connected (" + std::to_string(wl.topology.routers) +
+                                  " routers, " + std::to_string(wl.topology.links.size()) +
+                                  " links)");
+    }
+  } else if (spec.weights.size() != spec.num_flows) {
+    throw std::invalid_argument("spec.weights has " + std::to_string(spec.weights.size()) +
+                                " entries for " + std::to_string(spec.num_flows) + " flows");
+  }
 }
 
 }  // namespace
 
 ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
-  if (spec.generated.has_value()) return run_generated_scenario(spec);
-  assert(spec.weights.size() == spec.num_flows && "one weight per flow required");
+  validate(spec);
+  TopologyBuilder builder =
+      spec.generated.has_value() ? generated_graph(spec) : figure2_chain(spec);
 
-  // LP partition of the four-core chain: the three inter-core links are
-  // the only candidate cut links (every flow's attach nodes follow its
-  // entry/exit core), so the paper topology supports at most 4 LPs and
-  // the lookahead is the core link propagation delay.
   sim::par::LpPlan plan;
   if (spec.lp > 1) {
-    sim::par::LpGraph g;
-    g.nodes = PaperTopology::kCoreCount;
-    for (std::uint32_t i = 0; i + 1 < PaperTopology::kCoreCount; ++i) {
-      g.edges.push_back({i, i + 1, spec.topology.link_delay.sec(), true});
-    }
-    plan = sim::par::partition_lp_graph(g, spec.lp);
+    plan = sim::par::partition_lp_graph(builder.lp_graph, spec.lp);
     if (plan.zero_lookahead_fallback) {
       std::fprintf(stderr,
-                   "corelite: --lp %zu requires positive core link delay for lookahead; "
+                   "corelite: --lp %zu requires positive link delay for lookahead; "
                    "falling back to the serial engine\n",
                    spec.lp);
     } else if (plan.lp_count < plan.requested) {
-      std::fprintf(stderr, "corelite: --lp %zu clamped to %zu LPs (paper topology has %zu cores)\n",
-                   spec.lp, plan.lp_count, PaperTopology::kCoreCount);
+      std::fprintf(stderr, "corelite: --lp %zu clamped to %zu LPs (topology has %zu routers)\n",
+                   spec.lp, plan.lp_count, builder.lp_graph.nodes);
     }
   }
   const bool lp_mode = plan.lp_count > 1;
 
-  // Fluid fast-forward rides the single serial engine clock; the LP
-  // engine's barrier windows have no notion of a shared experiment-time
-  // offset, so lp > 1 falls back to pure packet mode (same precedent as
-  // the telemetry instrument hook).
+  // Fluid fast-forward, the fairness audit and the instrument hook are
+  // serial-only: the LP engine's barrier windows share no experiment-time
+  // offset, the auditor's gauges read live link state, and collector
+  // callbacks are not thread-safe.  lp > 1 runs without them.
   sim::fluid::FluidConfig fluid_cfg = spec.fluid;
-  if (fluid_cfg.enabled && lp_mode) {
-    std::fprintf(stderr,
-                 "corelite: fluid fast-forward is serial-only; running --lp %zu in pure "
-                 "packet mode\n",
-                 spec.lp);
-    fluid_cfg.enabled = false;
+  telemetry::FairnessAuditConfig audit_cfg = spec.audit;
+  if (lp_mode) {
+    if (fluid_cfg.enabled) {
+      std::fprintf(stderr,
+                   "corelite: fluid fast-forward is serial-only; running --lp %zu in pure "
+                   "packet mode\n",
+                   spec.lp);
+      fluid_cfg.enabled = false;
+    }
+    if (audit_cfg.enabled) {
+      std::fprintf(stderr,
+                   "corelite: the fairness audit is not supported with --lp > 1; "
+                   "skipping the auditor for this run\n");
+      audit_cfg.enabled = false;
+    }
+    if (spec.instrument) {
+      std::fprintf(stderr,
+                   "corelite: telemetry instrumentation is not supported with --lp > 1; "
+                   "skipping collectors for this run\n");
+    }
   }
   const bool fluid_on = fluid_cfg.enabled;
+  const bool audit_on = audit_cfg.enabled;
 
   sim::par::LpRuntime lp_rt{plan.lp_count, spec.seed, plan.lookahead, spec.lp_threads};
   if (spec.lp_probe != nullptr) lp_rt.set_probe(spec.lp_probe);
@@ -214,38 +433,12 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
   std::unique_ptr<sim::fluid::TimeWarp> warp;
   if (fluid_on) warp = std::make_unique<sim::fluid::TimeWarp>(simulator);
   net::Network network{lp_rt};
-  PaperTopologyConfig topo_cfg = spec.topology;
-  if (spec.mechanism == Mechanism::Red) topo_cfg.core_queue = CoreQueueKind::Red;
-  if (spec.mechanism == Mechanism::Fred) topo_cfg.core_queue = CoreQueueKind::Fred;
-  if (spec.mechanism == Mechanism::Choke) topo_cfg.core_queue = CoreQueueKind::Choke;
-  if (spec.mechanism == Mechanism::Sfq) topo_cfg.core_queue = CoreQueueKind::Sfq;
-  if (spec.mechanism == Mechanism::Wfq) {
-    topo_cfg.core_queue = CoreQueueKind::Wfq;
-    // The stateful reference: core routers know every flow's weight.
-    const std::vector<double> weights = spec.weights;
-    topo_cfg.wfq_weight_of = [weights](net::FlowId f) {
-      return (f >= 1 && f <= weights.size()) ? weights[f - 1] : 1.0;
-    };
-  }
-  PaperTopology topo{network, spec.num_flows, topo_cfg,
-                     lp_mode ? &plan.lp_of_node : nullptr};
-  network.build_routes();
+  const WiredTopology topo =
+      builder.wire(network, lp_mode ? &plan.lp_of_node : nullptr, fluid_on || audit_on);
 
   ScenarioResult result;
   stats::FlowTracker& tracker = result.tracker;
-
-  // Egress sinks: count delivered data packets per flow, with one-way
-  // delay measured from the edge's emission timestamp.  The sink reads
-  // its own node's clock — in LP mode that is the egress LP's simulator
-  // (the single writer of this flow's delivery counters), serially it is
-  // the one global simulator, exactly as before.
-  for (std::size_t i = 0; i < spec.num_flows; ++i) {
-    const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-    network.node(ep.egress).set_local_sink(
-        [&tracker, &snk_sim = network.local_sim(ep.egress)](net::Packet&& p) {
-          if (p.is_data()) tracker.on_delivered(p.flow, snk_sim.now() - p.created);
-        });
-  }
+  tracker.set_series_enabled(topo.record_series);
 
   if (spec.control_loss_rate > 0.0) {
     for (const auto& link : network.links()) {
@@ -253,28 +446,26 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  // Drop timing on the three congested links.  In LP mode each recorder
+  // Drop timing on the bottleneck links.  In LP mode each recorder
   // writes a private vector (links live on different LPs); the vectors
   // are merged and time-sorted after the run.
   std::vector<std::unique_ptr<DropRecorder>> drop_recorders;
   std::deque<std::vector<double>> lp_drop_sinks;
-  for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-    if (auto* l = topo.congested_link(network, i)) {
-      auto rec = std::make_unique<DropRecorder>();
-      rec->link = l;
-      if (lp_mode) {
-        lp_drop_sinks.emplace_back();
-        rec->sink = &lp_drop_sinks.back();
-      } else {
-        rec->sink = &result.drop_times;
-      }
-      l->add_observer(rec.get(), net::Link::kObserveDrop);
-      drop_recorders.push_back(std::move(rec));
+  for (net::Link* l : topo.bottlenecks) {
+    auto rec = std::make_unique<DropRecorder>();
+    rec->link = l;
+    if (lp_mode) {
+      lp_drop_sinks.emplace_back();
+      rec->sink = &lp_drop_sinks.back();
+    } else {
+      rec->sink = &result.drop_times;
     }
+    l->add_observer(rec.get(), net::Link::kObserveDrop);
+    drop_recorders.push_back(std::move(rec));
   }
 
-  // Mechanism wiring.  Edge routers install themselves as the ingress
-  // nodes' local sinks; core machinery attaches to the core nodes' links.
+  // Mechanism wiring: core machinery on every router, then the edge
+  // flavour the mechanism's sources use.
   std::vector<std::unique_ptr<qos::CoreliteEdgeRouter>> cl_edges;
   std::vector<std::unique_ptr<qos::CoreliteCoreRouter>> cl_cores;
   std::vector<std::unique_ptr<csfq::CsfqEdgeRouter>> csfq_edges;
@@ -282,142 +473,131 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
   std::vector<std::unique_ptr<csfq::LossNotifyingCoreRouter>> droptail_cores;
   std::vector<std::unique_ptr<qos::EcnCoreRouter>> ecn_cores;
   std::vector<std::unique_ptr<qos::EcnEgressAgent>> ecn_agents;
-
+  bool corelite_edges = false;
   switch (spec.mechanism) {
-    case Mechanism::Corelite: {
-      for (net::NodeId c : topo.cores()) {
-        cl_cores.push_back(
-            std::make_unique<qos::CoreliteCoreRouter>(network, c, spec.corelite));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge = std::make_unique<qos::CoreliteEdgeRouter>(network, ep.ingress,
-                                                              spec.corelite, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        cl_edges.push_back(std::move(edge));
+    case Mechanism::Corelite:
+      corelite_edges = true;
+      for (net::NodeId r : topo.routers) {
+        cl_cores.push_back(std::make_unique<qos::CoreliteCoreRouter>(network, r, spec.corelite));
       }
       break;
-    }
-    case Mechanism::Csfq: {
-      for (net::NodeId c : topo.cores()) {
-        csfq_cores.push_back(std::make_unique<csfq::CsfqCoreRouter>(network, c, spec.csfq));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge =
-            std::make_unique<csfq::CsfqEdgeRouter>(network, ep.ingress, spec.csfq, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        csfq_edges.push_back(std::move(edge));
-      }
-      break;
-    }
-    case Mechanism::EcnBit: {
-      // Binary-marking control: same Corelite edges, but cores set the
-      // DECbit instead of echoing markers; the egress echoes marked
+    case Mechanism::EcnBit:
+      // Binary-marking control: Corelite edges, but cores set the DECbit
+      // instead of echoing markers, and every egress echoes marked
       // packets back as unweighted feedback.
-      for (net::NodeId c : topo.cores()) {
-        ecn_cores.push_back(std::make_unique<qos::EcnCoreRouter>(network, c, spec.corelite));
+      corelite_edges = true;
+      for (net::NodeId r : topo.routers) {
+        ecn_cores.push_back(std::make_unique<qos::EcnCoreRouter>(network, r, spec.corelite));
       }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge = std::make_unique<qos::CoreliteEdgeRouter>(network, ep.ingress,
-                                                              spec.corelite, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        cl_edges.push_back(std::move(edge));
-        auto agent = std::make_unique<qos::EcnEgressAgent>(network, ep.egress);
-        qos::EcnEgressAgent* agent_ptr = agent.get();
-        ecn_agents.push_back(std::move(agent));
-        network.node(ep.egress).set_local_sink(
-            [&tracker, &snk_sim = network.local_sim(ep.egress), agent_ptr](net::Packet&& p) {
-              if (p.is_data()) {
-                tracker.on_delivered(p.flow, snk_sim.now() - p.created);
-                agent_ptr->on_data(p);
-              }
-            });
+      for (net::NodeId n : topo.egress) {
+        ecn_agents.push_back(std::make_unique<qos::EcnEgressAgent>(network, n));
       }
       break;
-    }
+    case Mechanism::Csfq:
+      for (net::NodeId r : topo.routers) {
+        csfq_cores.push_back(std::make_unique<csfq::CsfqCoreRouter>(network, r, spec.csfq));
+      }
+      break;
     case Mechanism::DropTail:
     case Mechanism::Red:
     case Mechanism::Fred:
     case Mechanism::Choke:
     case Mechanism::Sfq:
-    case Mechanism::Wfq: {
-      // Both baselines are "dumb core + loss-reactive sources"; they
-      // differ only in the core queue discipline (set above).
-      for (net::NodeId c : topo.cores()) {
-        droptail_cores.push_back(std::make_unique<csfq::LossNotifyingCoreRouter>(network, c));
-      }
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        auto edge =
-            std::make_unique<csfq::CsfqEdgeRouter>(network, ep.ingress, spec.csfq, &tracker);
-        if (warp) edge->set_fluid_warp(warp.get());
-        edge->add_flow(make_flow_spec(spec, i, ep));
-        csfq_edges.push_back(std::move(edge));
+    case Mechanism::Wfq:
+      // Dumb cores + loss-reactive sources; the baselines differ only in
+      // the core queue discipline the builder installed.
+      for (net::NodeId r : topo.routers) {
+        droptail_cores.push_back(std::make_unique<csfq::LossNotifyingCoreRouter>(network, r));
       }
       break;
+  }
+
+  // Egress sinks: count delivered data packets per flow, with one-way
+  // delay measured from the edge's emission timestamp.  Each sink reads
+  // its own node's clock: in LP mode that is the egress LP's simulator
+  // (the single writer of its flows' delivery counters), serially the
+  // one global simulator.
+  for (std::size_t j = 0; j < topo.egress.size(); ++j) {
+    const net::NodeId n = topo.egress[j];
+    qos::EcnEgressAgent* agent = ecn_agents.empty() ? nullptr : ecn_agents[j].get();
+    network.node(n).set_local_sink(
+        [&tracker, &snk_sim = network.local_sim(n), agent](net::Packet&& p) {
+          if (!p.is_data()) return;
+          tracker.on_delivered(p.flow, snk_sim.now() - p.created);
+          if (agent != nullptr) agent->on_data(p);
+        });
+  }
+
+  // One edge router per ingress node, then every flow on its ingress's
+  // edge in id order.  Edge constructors draw an RNG epoch phase and
+  // add_flow schedules the first window, so this order is part of every
+  // digest.
+  std::vector<std::size_t> edge_of(network.node_count(), 0);
+  for (net::NodeId n : topo.ingress) {
+    if (corelite_edges) {
+      edge_of[n] = cl_edges.size();
+      cl_edges.push_back(
+          std::make_unique<qos::CoreliteEdgeRouter>(network, n, spec.corelite, &tracker));
+      if (warp) cl_edges.back()->set_fluid_warp(warp.get());
+    } else {
+      edge_of[n] = csfq_edges.size();
+      csfq_edges.push_back(std::make_unique<csfq::CsfqEdgeRouter>(network, n, spec.csfq, &tracker));
+      if (warp) csfq_edges.back()->set_fluid_warp(warp.get());
+    }
+  }
+  for (const net::FlowSpec& fs : topo.flows) {
+    if (corelite_edges) {
+      cl_edges[edge_of[fs.ingress]]->add_flow(fs);
+    } else {
+      csfq_edges[edge_of[fs.ingress]]->add_flow(fs);
     }
   }
 
   // Fluid fast-forward controller: watches per-flow throughput EWMAs and,
   // once every flow sits inside the convergence band for the dwell
   // window AND the measured rates agree with the analytic water-filling
-  // allocation, compresses the experiment timeline (simulator.exp_now()
-  // jumps ahead of the engine clock; the warp registry caps each jump at
-  // the next activity-window boundary).
+  // allocation over the constraint sets, compresses the experiment
+  // timeline (simulator.exp_now() jumps ahead of the engine clock; the
+  // warp registry caps each jump at the next activity-window boundary).
   std::unique_ptr<sim::fluid::FluidController> fluid_ctl;
   if (fluid_on) {
     fluid_cfg.synth_sample_period = spec.cumulative_sample_period;
     fluid_ctl = std::make_unique<sim::fluid::FluidController>(simulator, *warp, tracker,
                                                               fluid_cfg, spec.duration);
-    fluid_ctl->set_link_capacities(
-        std::vector<double>(PaperTopology::kCongestedLinks, topo.capacity_pps()));
-    for (std::size_t i = 0; i < spec.num_flows; ++i) {
-      const auto id = static_cast<net::FlowId>(i + 1);
-      std::vector<std::uint32_t> links;
-      for (std::size_t l : PaperTopology::congested_links(id)) {
-        links.push_back(static_cast<std::uint32_t>(l));
-      }
-      fluid_ctl->add_flow(id, spec.weights.at(i), std::move(links));
+    fluid_ctl->set_link_capacities(topo.link_caps);
+    for (std::size_t i = 0; i < topo.flows.size(); ++i) {
+      fluid_ctl->add_flow(topo.flows[i].id, topo.flows[i].weight, topo.flow_links[i]);
     }
     if (spec.fluid_probe != nullptr) fluid_ctl->set_probe(spec.fluid_probe);
     fluid_ctl->start();
   }
 
-  // Queue-length sampling on the congested links.  Serially one timer
-  // samples all three; in LP mode each congested link is sampled by a
-  // timer on its from-node's LP (the link's owner), keeping every
-  // observation single-threaded.
-  result.queue_series.resize(PaperTopology::kCongestedLinks);
+  // Queue-length sampling on the bottleneck links.  Serially one timer
+  // samples them all; in LP mode each link is sampled by a timer on its
+  // from-node's LP (the link's owner), keeping every observation
+  // single-threaded.
+  result.queue_series.resize(topo.bottlenecks.size());
   std::vector<sim::PeriodicHandle> samplers;
   if (!lp_mode) {
-    samplers.push_back(simulator.every(sim::TimeDelta::millis(100), [&] {
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        if (auto* l = topo.congested_link(network, i)) {
-          result.queue_series[i].add(simulator.exp_now().sec(),
-                                     static_cast<double>(l->queued_data_packets()));
-        }
+    samplers.push_back(simulator.every(sim::TimeDelta::millis(100), [&result, &topo, &simulator] {
+      for (std::size_t i = 0; i < topo.bottlenecks.size(); ++i) {
+        result.queue_series[i].add(simulator.exp_now().sec(),
+                                   static_cast<double>(topo.bottlenecks[i]->queued_data_packets()));
       }
     }));
   } else {
     for (std::size_t lp = 0; lp < plan.lp_count; ++lp) {
       std::vector<std::size_t> owned;
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        if (network.lp_of(topo.core(i)) == lp) owned.push_back(i);
+      for (std::size_t i = 0; i < topo.bottlenecks.size(); ++i) {
+        if (network.lp_of(topo.bottlenecks[i]->from()) == lp) owned.push_back(i);
       }
       if (owned.empty()) continue;
       sim::Simulator& lsim = lp_rt.lp_sim(lp);
-      samplers.push_back(lsim.every(
-          sim::TimeDelta::millis(100), [&result, &topo, &network, &lsim, owned] {
+      samplers.push_back(
+          lsim.every(sim::TimeDelta::millis(100), [&result, &topo, &lsim, owned] {
             for (std::size_t i : owned) {
-              if (auto* l = topo.congested_link(network, i)) {
-                result.queue_series[i].add(lsim.now().sec(),
-                                           static_cast<double>(l->queued_data_packets()));
-              }
+              const auto q = static_cast<double>(topo.bottlenecks[i]->queued_data_packets());
+              result.queue_series[i].add(lsim.now().sec(), q);
             }
           }));
     }
@@ -434,9 +614,8 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
   } else {
     for (std::size_t lp = 0; lp < plan.lp_count; ++lp) {
       std::vector<net::FlowId> owned;
-      for (std::size_t i = 0; i < spec.num_flows; ++i) {
-        const auto& ep = topo.endpoints(static_cast<net::FlowId>(i + 1));
-        if (network.lp_of(ep.egress) == lp) owned.push_back(static_cast<net::FlowId>(i + 1));
+      for (const net::FlowSpec& fs : topo.flows) {
+        if (network.lp_of(fs.egress) == lp) owned.push_back(fs.id);
       }
       if (owned.empty()) continue;
       sim::Simulator& lsim = lp_rt.lp_sim(lp);
@@ -447,70 +626,50 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  // Fairness auditor (opt-in): per-window oracle-deviation telemetry on
-  // the serial engine only.  Its sampler adds simulation events — that
-  // is the audit-on/off digest split documented in ScenarioSpec::audit —
-  // and its gauges read live link/core state, so it follows the same
-  // serial-only precedent as the instrument hook below.
-  telemetry::FairnessAuditConfig audit_cfg = spec.audit;
-  if (audit_cfg.enabled && lp_mode) {
-    std::fprintf(stderr,
-                 "corelite: the fairness audit is not supported with --lp > 1; "
-                 "skipping the auditor for this run\n");
-    audit_cfg.enabled = false;
-  }
+  // Fairness auditor (opt-in): per-window oracle deviation over the same
+  // constraint sets the fluid controller uses.  Its sampler adds
+  // simulation events — the audit-on/off digest split documented in
+  // ScenarioSpec::audit.
   std::unique_ptr<telemetry::FairnessAuditor> auditor;
-  if (audit_cfg.enabled) {
+  if (audit_on) {
     std::vector<telemetry::FairnessAuditor::FlowInfo> audit_flows;
-    audit_flows.reserve(spec.num_flows);
-    for (std::size_t i = 0; i < spec.num_flows; ++i) {
-      const auto id = static_cast<net::FlowId>(i + 1);
-      telemetry::FairnessAuditor::FlowInfo fi;
-      fi.id = id;
-      fi.weight = spec.weights.at(i);
-      for (std::size_t l : PaperTopology::congested_links(id)) {
-        fi.links.push_back(static_cast<std::uint32_t>(l));
-      }
-      audit_flows.push_back(std::move(fi));
+    audit_flows.reserve(topo.flows.size());
+    // Activity oracle over the flows' own windows, indexed by id.
+    std::vector<const std::vector<net::ActiveInterval>*> active_of(topo.flows.size() + 1,
+                                                                   nullptr);
+    for (std::size_t i = 0; i < topo.flows.size(); ++i) {
+      const net::FlowSpec& fs = topo.flows[i];
+      audit_flows.push_back({fs.id, fs.weight, topo.flow_links[i]});
+      if (fs.id < active_of.size()) active_of[fs.id] = &fs.active;
     }
-    // Activity oracle over the spec's half-open windows (empty list =
-    // always on) — the same ground truth the edges schedule from.
-    auto active_fn = [&spec](net::FlowId id, double t_sec) {
-      const std::size_t i = static_cast<std::size_t>(id) - 1;
-      if (i >= spec.activity.size() || spec.activity[i].empty()) return true;
-      for (const auto& iv : spec.activity[i]) {
+    auto active_fn = [active_of = std::move(active_of)](net::FlowId id, double t_sec) {
+      if (id >= active_of.size() || active_of[id] == nullptr || active_of[id]->empty()) {
+        return true;
+      }
+      for (const auto& iv : *active_of[id]) {
         if (t_sec >= iv.start.sec() && t_sec < iv.stop.sec()) return true;
       }
       return false;
     };
     auditor = std::make_unique<telemetry::FairnessAuditor>(
-        audit_cfg, tracker,
-        std::vector<double>(PaperTopology::kCongestedLinks, topo.capacity_pps()),
-        std::move(audit_flows), std::move(active_fn));
-    // Engine gauges for the flight recorder: congested-link occupancy,
-    // plus the CSFQ fair-share estimate α on each congested link.
-    for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-      auditor->add_gauge("queue.core" + std::to_string(i),
-                         [&network, &topo, i]() -> double {
-                           auto* l = topo.congested_link(network, i);
-                           return l != nullptr
-                                      ? static_cast<double>(l->queued_data_packets())
-                                      : 0.0;
-                         });
+        audit_cfg, tracker, topo.link_caps, std::move(audit_flows), std::move(active_fn));
+    // Engine gauges for the flight recorder: bottleneck occupancy, plus
+    // the CSFQ fair-share estimate α on each bottleneck link.
+    for (std::size_t i = 0; i < topo.bottlenecks.size(); ++i) {
+      net::Link* l = topo.bottlenecks[i];
+      auditor->add_gauge("queue.bottleneck" + std::to_string(i), [l]() -> double {
+        return static_cast<double>(l->queued_data_packets());
+      });
     }
-    if (spec.mechanism == Mechanism::Csfq) {
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        const net::NodeId from = topo.core(i);
-        const net::NodeId to = topo.core(i + 1);
-        for (const auto& c : csfq_cores) {
-          if (c->node() != from) continue;
-          const csfq::CsfqCoreRouter* core = c.get();
-          auditor->add_gauge("csfq.alpha.core" + std::to_string(i),
-                             [core, to]() -> double {
-                               const auto* pol = core->policy_for(to);
-                               return pol != nullptr ? pol->alpha() : 0.0;
-                             });
-        }
+    for (std::size_t i = 0; i < topo.bottlenecks.size(); ++i) {
+      const net::NodeId to = topo.bottlenecks[i]->to();
+      for (const auto& c : csfq_cores) {
+        if (c->node() != topo.bottlenecks[i]->from()) continue;
+        const csfq::CsfqCoreRouter* core = c.get();
+        auditor->add_gauge("csfq.alpha.bottleneck" + std::to_string(i), [core, to]() -> double {
+          const auto* pol = core->policy_for(to);
+          return pol != nullptr ? pol->alpha() : 0.0;
+        });
       }
     }
     samplers.push_back(simulator.every(audit_cfg.window, [&simulator, aud = auditor.get()] {
@@ -519,20 +678,7 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
   }
 
   // Telemetry hook last, so collectors see the fully wired network.
-  // Collector callbacks are not thread-safe, so the hook is serial-only.
-  if (spec.instrument) {
-    if (lp_mode) {
-      std::fprintf(stderr,
-                   "corelite: telemetry instrumentation is not supported with --lp > 1; "
-                   "skipping collectors for this run\n");
-    } else {
-      std::vector<net::Link*> congested;
-      for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-        if (auto* l = topo.congested_link(network, i)) congested.push_back(l);
-      }
-      spec.instrument(network, congested);
-    }
-  }
+  if (spec.instrument && !lp_mode) spec.instrument(network, topo.bottlenecks);
 
   if (fluid_on) {
     // Each fast-forward jump stop()s the engine so the offset bump takes
@@ -560,9 +706,9 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
     result.audit_report = std::make_unique<telemetry::FairnessAuditReport>(auditor->take_report());
   }
   result.unrouteable = network.unrouteable_count();
-  for (net::NodeId c : topo.cores()) {
+  for (net::NodeId r : topo.routers) {
     std::size_t state = 0;
-    for (net::Link* l : network.node(c).out_links()) {
+    for (net::Link* l : network.node(r).out_links()) {
       state += l->queue().flow_state_entries();
     }
     result.core_flow_state = std::max(result.core_flow_state, state);
@@ -572,26 +718,17 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
   // so fold them into the global count here (congested_link_drops stays
   // a pure link-level observation).
   result.total_data_drops += result.fluid_stats.synth_dropped;
-  for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-    if (auto* l = topo.congested_link(network, i)) {
-      result.congested_link_drops += l->stats().dropped;
-    }
-  }
+  for (const net::Link* l : topo.bottlenecks) result.congested_link_drops += l->stats().dropped;
   for (const auto& e : cl_edges) result.markers_injected += e->markers_injected();
   for (const auto& e : cl_edges) result.feedback_messages += e->feedback_received();
   for (const auto& e : csfq_edges) result.feedback_messages += e->loss_notices_received();
-  // Mean q_avg per congested link (Corelite only).
-  if (spec.mechanism == Mechanism::Corelite) {
-    for (std::size_t i = 0; i < PaperTopology::kCongestedLinks; ++i) {
-      const net::NodeId from = topo.core(i);
-      const net::NodeId to = topo.core(i + 1);
-      for (const auto& c : cl_cores) {
-        if (c->node() != from) continue;
-        for (const auto& d : c->diagnostics()) {
-          if (d.link_to == to && d.q_avg_series != nullptr && !d.q_avg_series->empty()) {
-            result.mean_q_avg.push_back(
-                d.q_avg_series->average_over(0.0, spec.duration.sec()));
-          }
+  // Mean q_avg per bottleneck link (Corelite only).
+  for (const net::Link* l : topo.bottlenecks) {
+    for (const auto& c : cl_cores) {
+      if (c->node() != l->from()) continue;
+      for (const auto& d : c->diagnostics()) {
+        if (d.link_to == l->to() && d.q_avg_series != nullptr && !d.q_avg_series->empty()) {
+          result.mean_q_avg.push_back(d.q_avg_series->average_over(0.0, spec.duration.sec()));
         }
       }
     }

@@ -16,7 +16,7 @@
 // size, seed) yields a byte-identical description on every platform,
 // witnessed by digest() (FNV-1a over the full structure) and pinned by
 // golden tests.  The description is turned into a live net::Network by
-// the generated-scenario runner (see scenario.h).
+// the scenario runner's generated-graph builder (see scenario.h).
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,9 @@
 // paper's §4.1 arithmetic, and spec construction.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "net/network.h"
 #include "scenario/paper_topology.h"
 #include "scenario/scenario.h"
@@ -151,6 +154,18 @@ TEST(ScenarioRun, SmallRunProducesSaneAccounting) {
     EXPECT_GT(fs.sent, 0u) << "flow " << i;
     // Conservation: deliveries can't exceed sends.
     EXPECT_LE(fs.delivered, fs.sent);
+  }
+}
+
+TEST(ScenarioRun, RejectsWeightCountMismatch) {
+  auto spec = fig5_simultaneous_start(Mechanism::Corelite);
+  spec.weights.pop_back();
+  try {
+    (void)run_paper_scenario(spec);
+    FAIL() << "mismatched weights ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("9 entries for 10 flows"), std::string::npos)
+        << e.what();
   }
 }
 

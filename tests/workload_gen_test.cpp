@@ -1,6 +1,6 @@
 // Tests for the generated-workload subsystem: topology generators,
-// flow-population generation, the gen-* scenario names and the
-// generated-scenario runner.
+// flow-population generation, the gen-* scenario names and generated
+// topologies run through the scenario runner.
 //
 // The digest goldens pin the exact FNV-1a value of each generator's
 // output: they fail loudly if a generator's output changes AT ALL,
@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/flow.h"
@@ -200,7 +202,7 @@ TEST(SweepBuildSpec, OverridesResizeGeneratedPopulation) {
 }
 
 // ---------------------------------------------------------------------------
-// The generated-scenario runner.
+// Generated topologies through the scenario runner.
 
 namespace {
 
@@ -276,6 +278,38 @@ TEST(GeneratedRunner, InstrumentHookSeesBottleneckLinks) {
   };
   (void)sc::run_paper_scenario(spec);
   EXPECT_EQ(seen, spec.generated->topology.bottlenecks.size());
+}
+
+TEST(GeneratedRunner, CoreliteReportsMeanQAvgPerBottleneck) {
+  const auto spec = small_gen_spec(sc::Mechanism::Corelite);
+  const auto r = sc::run_paper_scenario(spec);
+  EXPECT_EQ(r.mean_q_avg.size(), spec.generated->topology.bottlenecks.size());
+}
+
+TEST(GeneratedRunner, RejectsFlowCountMismatch) {
+  auto spec = small_gen_spec(sc::Mechanism::Corelite);
+  spec.num_flows = 59;
+  try {
+    (void)sc::run_paper_scenario(spec);
+    FAIL() << "mismatched num_flows ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("(59)"), std::string::npos) << e.what();
+    EXPECT_NE(std::string{e.what()}.find("(60)"), std::string::npos) << e.what();
+  }
+}
+
+TEST(GeneratedRunner, RejectsDisconnectedTopology) {
+  auto spec = small_gen_spec(sc::Mechanism::Corelite);
+  auto& topo = spec.generated->topology;
+  topo.routers += 1;  // one router no link reaches
+  try {
+    (void)sc::run_paper_scenario(spec);
+    FAIL() << "disconnected topology ran";
+  } catch (const std::invalid_argument& e) {
+    const std::string want = std::to_string(topo.routers) + " routers, " +
+                             std::to_string(topo.links.size()) + " links";
+    EXPECT_NE(std::string{e.what()}.find(want), std::string::npos) << e.what();
+  }
 }
 
 TEST(GeneratedRunner, IdealRatesOracleDeclinesGeneratedGraphs) {
