@@ -318,78 +318,6 @@ ForwardingResult run_forwarding_loop() {
   return r;
 }
 
-struct BurstResult {
-  std::uint64_t hops = 0;
-  double hops_per_sec = 0.0;
-  double mean_batch_len = 0.0;
-};
-
-// Back-to-back trains on an uncontended link: 32-packet bursts with a
-// propagation pipe longer than the train and an idle gap before the
-// next burst, so between one completion and the next nothing — not the
-// pump, not a delivery of this or the previous train — can interleave.
-// This is the shape batched transmission collapses into one event per
-// train (31 of 32 completions fuse; the first rides a real event).
-BurstResult run_burst_forwarding(bool batch_on) {
-  if (batch_on) {
-    unsetenv("CORELITE_NO_BATCH");
-  } else {
-    setenv("CORELITE_NO_BATCH", "1", 1);
-  }
-  sim::Simulator s;
-  net::Network network{s};
-  const net::NodeId a = network.add_node("a");
-  const net::NodeId b = network.add_node("b");
-  const sim::DataSize pkt = sim::DataSize::bytes(1000);
-  const sim::Rate rate = sim::Rate::mbps(1000);
-  network.connect(a, b, rate, sim::TimeDelta::millis(1), 64);
-  network.build_routes();
-
-  std::uint64_t delivered = 0;
-  network.node(b).set_local_sink([&delivered](net::Packet&&) { ++delivered; });
-
-  constexpr std::size_t kBurst = 32;
-  const double ser = rate.serialization_time(pkt).sec();
-  struct Pump {
-    sim::Simulator& s;
-    net::Network& network;
-    net::NodeId a, b;
-    sim::DataSize pkt;
-    double gap;  ///< burst period: propagation + twice the train length
-    void fire() {
-      for (std::size_t i = 0; i < kBurst; ++i) {
-        net::Packet p;
-        p.uid = network.next_packet_uid();
-        p.flow = 1;
-        p.src = a;
-        p.dst = b;
-        p.size = pkt;
-        p.created = s.now();
-        network.inject(a, std::move(p));
-      }
-      s.after_detached(sim::TimeDelta::seconds(gap), [this] { fire(); });
-    }
-  };
-  Pump pump{s, network, a, b, pkt,
-            0.001 + 2.0 * ser * static_cast<double>(kBurst)};
-  pump.fire();
-
-  s.run_until(sim::SimTime::seconds(1));  // warmup
-  sim::reset_hotpath_counters();
-  const std::uint64_t delivered0 = delivered;
-  const double t0 = now_seconds();
-  s.run_until(sim::SimTime::seconds(21));
-  const double wall = now_seconds() - t0;
-  const sim::HotPathCounters ops = sim::aggregated_hotpath_counters();
-
-  BurstResult r;
-  r.hops = delivered - delivered0;
-  r.hops_per_sec = static_cast<double>(r.hops) / wall;
-  r.mean_batch_len = ops.mean_batch_len();
-  unsetenv("CORELITE_NO_BATCH");
-  return r;
-}
-
 struct ScaleRow {
   double wall_ms = 0.0;          ///< median over kRowRepeats runs
   sim::HotPathCounters ops;      ///< op counts of one run (deterministic)
@@ -465,29 +393,17 @@ int main() {
               static_cast<unsigned long long>(fwd.allocs),
               static_cast<unsigned long long>(fwd.hops));
 
-  const BurstResult burst_on = run_burst_forwarding(/*batch_on=*/true);
-  const BurstResult burst_off = run_burst_forwarding(/*batch_on=*/false);
-  std::printf("burst forwarding       : %8.2f M hops/s batched (%.1f/drain), "
-              "%.2f M unbatched — %.2fx\n",
-              burst_on.hops_per_sec / 1e6, burst_on.mean_batch_len,
-              burst_off.hops_per_sec / 1e6, burst_on.hops_per_sec / burst_off.hops_per_sec);
-
   std::printf("scale_flows 80 flows   : corelite %.1f ms, csfq %.1f ms wall (median of %d; "
               "wheel off: %.1f / %.1f ms)\n",
               cl80, cs80, kRowRepeats, row_cl_off.wall_ms, row_cs_off.wall_ms);
-  std::printf("hot-path ops (csfq-80) : %llu exp calls, %.1f%% cache hits; %llu rng draws, "
+  std::printf("hot-path ops (csfq-80) : %llu exp calls, %llu rng draws, "
               "%llu observer dispatches\n",
               static_cast<unsigned long long>(row_cs.ops.exp_calls),
-              row_cs.ops.exp_hit_rate() * 100.0,
               static_cast<unsigned long long>(row_cs.ops.rng_draws),
               static_cast<unsigned long long>(row_cs.ops.observer_dispatches));
-  std::printf("wheel/batch (csfq-80)  : %.1f%% wheel inserts, %llu cascades; "
-              "%llu batch drains (%llu fused, mean %.2f)\n",
+  std::printf("wheel (csfq-80)        : %.1f%% wheel inserts, %llu cascades\n",
               row_cs.ops.wheel_insert_rate() * 100.0,
-              static_cast<unsigned long long>(row_cs.ops.wheel_cascades),
-              static_cast<unsigned long long>(row_cs.ops.batch_drains),
-              static_cast<unsigned long long>(row_cs.ops.batch_drained),
-              row_cs.ops.mean_batch_len());
+              static_cast<unsigned long long>(row_cs.ops.wheel_cascades));
 
   const double speedup_events = detached.events_per_sec / kSeedEventsPerSec;
   const double speedup_cl = kSeedCorelite80WallMs / cl80;
@@ -528,12 +444,6 @@ int main() {
                  "    \"allocs_per_hop\": %.6f,\n"
                  "    \"hops_per_sec\": %.0f\n"
                  "  },\n"
-                 "  \"burst_forwarding\": {\n"
-                 "    \"batch_on_hops_per_sec\": %.0f,\n"
-                 "    \"batch_off_hops_per_sec\": %.0f,\n"
-                 "    \"batch_speedup\": %.3f,\n"
-                 "    \"mean_batch_len\": %.2f\n"
-                 "  },\n"
                  "  \"scale_flows_80\": {\n"
                  "    \"corelite_wall_ms\": %.1f,\n"
                  "    \"csfq_wall_ms\": %.1f,\n"
@@ -545,37 +455,22 @@ int main() {
                  "  \"hot_path_counters\": {\n"
                  "    \"corelite_80\": {\n"
                  "      \"exp_calls\": %llu,\n"
-                 "      \"exp_cache_hits\": %llu,\n"
-                 "      \"exp_hit_rate\": %.3f,\n"
-                 "      \"pow_calls\": %llu,\n"
                  "      \"rng_draws\": %llu,\n"
                  "      \"observer_dispatches\": %llu,\n"
                  "      \"series_appends\": %llu,\n"
                  "      \"wheel_inserts\": %llu,\n"
                  "      \"wheel_cascades\": %llu,\n"
-                 "      \"heap_inserts\": %llu,\n"
-                 "      \"batch_drains\": %llu,\n"
-                 "      \"batch_drained\": %llu\n"
+                 "      \"heap_inserts\": %llu\n"
                  "    },\n"
                  "    \"csfq_80\": {\n"
                  "      \"exp_calls\": %llu,\n"
-                 "      \"exp_cache_hits\": %llu,\n"
-                 "      \"exp_hit_rate\": %.3f,\n"
-                 "      \"pow_calls\": %llu,\n"
                  "      \"rng_draws\": %llu,\n"
                  "      \"observer_dispatches\": %llu,\n"
                  "      \"series_appends\": %llu,\n"
                  "      \"wheel_inserts\": %llu,\n"
                  "      \"wheel_cascades\": %llu,\n"
-                 "      \"heap_inserts\": %llu,\n"
-                 "      \"batch_drains\": %llu,\n"
-                 "      \"batch_drained\": %llu\n"
-                 "    },\n"
-                 "    \"exp_hit_rate_ceiling_note\": "
-                 "\"csfq-80 evaluates 115205 distinct exp argument bit patterns over 439131 "
-                 "calls (FP-accumulated paced emission times drift continuously at shared "
-                 "links), so even an infinite bit-exact cache caps at 0.738; the 4096-slot "
-                 "direct-mapped cache reaches ~0.725 of that ceiling.\"\n"
+                 "      \"heap_inserts\": %llu\n"
+                 "    }\n"
                  "  },\n"
                  "  \"seed_reference\": {\n"
                  "    \"events_per_sec\": %.0f,\n"
@@ -599,33 +494,21 @@ int main() {
                  static_cast<unsigned long long>(fwd.hops),
                  static_cast<unsigned long long>(fwd.allocs), fwd.allocs_per_hop,
                  fwd.hops_per_sec,
-                 burst_on.hops_per_sec, burst_off.hops_per_sec,
-                 burst_on.hops_per_sec / burst_off.hops_per_sec, burst_on.mean_batch_len,
                  cl80, cs80, row_cl_off.wall_ms, row_cs_off.wall_ms, kRowRepeats,
                  static_cast<unsigned long long>(row_cl.ops.exp_calls),
-                 static_cast<unsigned long long>(row_cl.ops.exp_cache_hits),
-                 row_cl.ops.exp_hit_rate(),
-                 static_cast<unsigned long long>(row_cl.ops.pow_calls),
                  static_cast<unsigned long long>(row_cl.ops.rng_draws),
                  static_cast<unsigned long long>(row_cl.ops.observer_dispatches),
                  static_cast<unsigned long long>(row_cl.ops.series_appends),
                  static_cast<unsigned long long>(row_cl.ops.wheel_inserts),
                  static_cast<unsigned long long>(row_cl.ops.wheel_cascades),
                  static_cast<unsigned long long>(row_cl.ops.heap_inserts),
-                 static_cast<unsigned long long>(row_cl.ops.batch_drains),
-                 static_cast<unsigned long long>(row_cl.ops.batch_drained),
                  static_cast<unsigned long long>(row_cs.ops.exp_calls),
-                 static_cast<unsigned long long>(row_cs.ops.exp_cache_hits),
-                 row_cs.ops.exp_hit_rate(),
-                 static_cast<unsigned long long>(row_cs.ops.pow_calls),
                  static_cast<unsigned long long>(row_cs.ops.rng_draws),
                  static_cast<unsigned long long>(row_cs.ops.observer_dispatches),
                  static_cast<unsigned long long>(row_cs.ops.series_appends),
                  static_cast<unsigned long long>(row_cs.ops.wheel_inserts),
                  static_cast<unsigned long long>(row_cs.ops.wheel_cascades),
                  static_cast<unsigned long long>(row_cs.ops.heap_inserts),
-                 static_cast<unsigned long long>(row_cs.ops.batch_drains),
-                 static_cast<unsigned long long>(row_cs.ops.batch_drained),
                  kSeedEventsPerSec, kSeedAllocsPerEvent,
                  kSeedCorelite80WallMs, kSeedCsfq80WallMs, speedup_events, speedup_cl,
                  speedup_cs);

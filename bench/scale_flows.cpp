@@ -297,12 +297,7 @@ int main(int argc, char** argv) {
   if (profile) {
     const corelite::sim::HotPathCounters c = corelite::sim::aggregated_hotpath_counters();
     std::printf("\nhot-path profile (totals across all %zu runs)\n", runs.size());
-    std::printf("  exp calls            %12llu  (cache hits %llu, %.1f%%)\n",
-                static_cast<unsigned long long>(c.exp_calls),
-                static_cast<unsigned long long>(c.exp_cache_hits), c.exp_hit_rate() * 100.0);
-    std::printf("  pow calls            %12llu  (cache hits %llu, %.1f%%)\n",
-                static_cast<unsigned long long>(c.pow_calls),
-                static_cast<unsigned long long>(c.pow_cache_hits), c.pow_hit_rate() * 100.0);
+    std::printf("  exp calls            %12llu\n", static_cast<unsigned long long>(c.exp_calls));
     std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
     std::printf("  observer dispatches  %12llu\n",
                 static_cast<unsigned long long>(c.observer_dispatches));
@@ -312,9 +307,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
                 static_cast<unsigned long long>(c.heap_inserts),
                 static_cast<unsigned long long>(c.wheel_cascades));
-    std::printf("  batch drains         %12llu  (%llu completions fused, mean %.2f/drain)\n",
-                static_cast<unsigned long long>(c.batch_drains),
-                static_cast<unsigned long long>(c.batch_drained), c.mean_batch_len());
     std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
                 static_cast<unsigned long long>(c.lp_barriers),
                 static_cast<unsigned long long>(c.cross_lp_events),

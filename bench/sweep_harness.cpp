@@ -171,12 +171,7 @@ int main(int argc, char** argv) {
   if (profile) {
     std::printf("\nhot-path op counters (both passes)\n");
     std::printf("%-22s %14s\n", "op", "count");
-    std::printf("%-22s %14llu  (hits %llu, %.1f%%)\n", "exp calls",
-                static_cast<unsigned long long>(ops.exp_calls),
-                static_cast<unsigned long long>(ops.exp_cache_hits), ops.exp_hit_rate() * 100.0);
-    std::printf("%-22s %14llu  (hits %llu, %.1f%%)\n", "pow calls",
-                static_cast<unsigned long long>(ops.pow_calls),
-                static_cast<unsigned long long>(ops.pow_cache_hits), ops.pow_hit_rate() * 100.0);
+    std::printf("%-22s %14llu\n", "exp calls", static_cast<unsigned long long>(ops.exp_calls));
     std::printf("%-22s %14llu\n", "rng draws", static_cast<unsigned long long>(ops.rng_draws));
     std::printf("%-22s %14llu\n", "observer dispatches",
                 static_cast<unsigned long long>(ops.observer_dispatches));
@@ -186,9 +181,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ops.wheel_inserts), ops.wheel_insert_rate() * 100.0,
                 static_cast<unsigned long long>(ops.heap_inserts),
                 static_cast<unsigned long long>(ops.wheel_cascades));
-    std::printf("%-22s %14llu  (%llu fused, mean %.2f/drain)\n", "batch drains",
-                static_cast<unsigned long long>(ops.batch_drains),
-                static_cast<unsigned long long>(ops.batch_drained), ops.mean_batch_len());
     std::printf("%-22s %14llu  (cross-LP events %llu, mailbox flushes %llu)\n", "lp barriers",
                 static_cast<unsigned long long>(ops.lp_barriers),
                 static_cast<unsigned long long>(ops.cross_lp_events),
@@ -220,34 +212,23 @@ int main(int argc, char** argv) {
                    ",\n"
                    "  \"hot_path_counters\": {\n"
                    "    \"exp_calls\": %llu,\n"
-                   "    \"exp_cache_hits\": %llu,\n"
-                   "    \"exp_hit_rate\": %.3f,\n"
-                   "    \"pow_calls\": %llu,\n"
-                   "    \"pow_cache_hits\": %llu,\n"
                    "    \"rng_draws\": %llu,\n"
                    "    \"observer_dispatches\": %llu,\n"
                    "    \"series_appends\": %llu,\n"
                    "    \"wheel_inserts\": %llu,\n"
                    "    \"wheel_cascades\": %llu,\n"
                    "    \"heap_inserts\": %llu,\n"
-                   "    \"batch_drains\": %llu,\n"
-                   "    \"batch_drained\": %llu,\n"
                    "    \"lp_barriers\": %llu,\n"
                    "    \"cross_lp_events\": %llu,\n"
                    "    \"mailbox_flushes\": %llu\n"
                    "  }",
                    static_cast<unsigned long long>(ops.exp_calls),
-                   static_cast<unsigned long long>(ops.exp_cache_hits), ops.exp_hit_rate(),
-                   static_cast<unsigned long long>(ops.pow_calls),
-                   static_cast<unsigned long long>(ops.pow_cache_hits),
                    static_cast<unsigned long long>(ops.rng_draws),
                    static_cast<unsigned long long>(ops.observer_dispatches),
                    static_cast<unsigned long long>(ops.series_appends),
                    static_cast<unsigned long long>(ops.wheel_inserts),
                    static_cast<unsigned long long>(ops.wheel_cascades),
                    static_cast<unsigned long long>(ops.heap_inserts),
-                   static_cast<unsigned long long>(ops.batch_drains),
-                   static_cast<unsigned long long>(ops.batch_drained),
                    static_cast<unsigned long long>(ops.lp_barriers),
                    static_cast<unsigned long long>(ops.cross_lp_events),
                    static_cast<unsigned long long>(ops.mailbox_flushes));

@@ -178,14 +178,26 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
     }
     spec.fluid.dwell_checks = static_cast<std::size_t>(parser.get_int("fluid-dwell"));
   }
-  spec.corelite.core_epoch = sim::TimeDelta::millis(parser.get_double("epoch-ms"));
+  // A non-positive epoch re-arms the core tick without advancing the
+  // clock, and a negative delay schedules deliveries in the past; either
+  // hangs the run.
+  const double epoch_ms = parser.get_double("epoch-ms");
+  if (epoch_ms <= 0.0) {
+    err << "--epoch-ms must be > 0, got " << epoch_ms << "\n";
+    return std::nullopt;
+  }
+  const double link_delay_ms = parser.get_double("link-delay-ms");
+  if (link_delay_ms < 0.0) {
+    err << "--link-delay-ms must be >= 0, got " << link_delay_ms << "\n";
+    return std::nullopt;
+  }
+  spec.corelite.core_epoch = sim::TimeDelta::millis(epoch_ms);
   spec.corelite.k1 = parser.get_double("k1");
   spec.corelite.q_thresh_pkts = parser.get_double("qthresh");
   spec.corelite.k_cubic = parser.get_double("kcubic");
-  spec.topology.link_delay = sim::TimeDelta::millis(parser.get_double("link-delay-ms"));
+  spec.topology.link_delay = sim::TimeDelta::millis(link_delay_ms);
   if (spec.generated.has_value() && parser.was_set("link-delay-ms")) {
-    spec.generated->topology.cfg.link_delay =
-        sim::TimeDelta::millis(parser.get_double("link-delay-ms"));
+    spec.generated->topology.cfg.link_delay = sim::TimeDelta::millis(link_delay_ms);
   }
   return spec;
 }

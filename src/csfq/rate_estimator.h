@@ -8,7 +8,9 @@
 // length distribution and converges within a few K.
 #pragma once
 
-#include "sim/fastmath.h"
+#include <cmath>
+
+#include "sim/hotpath.h"
 #include "sim/units.h"
 
 namespace corelite::csfq {
@@ -37,10 +39,8 @@ class ExponentialRateEstimator {
       rate_ += units / k_;
       return rate_;
     }
-    // Paced sources and constant service times mean the distinct gaps
-    // T are few; the decay cache turns the per-packet libm exp into a
-    // table hit with bit-identical results (see sim/fastmath.h).
-    const double decay = sim::fastmath::cached_exp(-t / k_);
+    ++sim::hotpath_counters().exp_calls;
+    const double decay = std::exp(-t / k_);
     rate_ = (1.0 - decay) * (units / t) + decay * rate_;
     return rate_;
   }

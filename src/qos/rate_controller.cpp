@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "sim/fastmath.h"
+#include <cmath>
 
 namespace corelite::qos {
 
@@ -57,10 +56,8 @@ void AimdRateController::adapt(double& rate, int feedback_count, double floor) {
   if (feedback_count == 0) {
     rate += cfg_.alpha_pps;
   } else {
-    // Small integer exponents recur every epoch; the decay cache makes
-    // the multiplicative decrease a table hit (bit-identical results).
-    rate = std::max(floor, rate * sim::fastmath::cached_pow(1.0 - cfg_.md_factor,
-                                                            feedback_count));
+    rate = std::max(floor, rate * std::pow(1.0 - cfg_.md_factor,
+                                           static_cast<double>(feedback_count)));
   }
 }
 
@@ -68,8 +65,8 @@ void MimdRateController::adapt(double& rate, int feedback_count, double floor) {
   if (feedback_count == 0) {
     rate *= cfg_.mi_factor;
   } else {
-    rate = std::max(floor, rate * sim::fastmath::cached_pow(1.0 - cfg_.md_factor,
-                                                            feedback_count));
+    rate = std::max(floor, rate * std::pow(1.0 - cfg_.md_factor,
+                                           static_cast<double>(feedback_count)));
   }
 }
 

@@ -16,7 +16,7 @@
 // tiers by exact (time, seq), so the firing order — and therefore every
 // golden digest — is bit-identical to the heap-only engine.  Setting
 // the environment variable CORELITE_NO_WHEEL (to any value) routes all
-// traffic to the heap, mirroring CORELITE_NO_FASTMATH.
+// traffic to the heap.
 //
 // Engineering notes (the million-event hot path):
 //   - Callbacks are SmallFunction: captures up to 48 bytes live inline,

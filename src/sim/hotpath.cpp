@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <iterator>
 
 namespace corelite::sim {
 
@@ -10,16 +11,17 @@ namespace {
 // Every counter field, in declaration order.  flush/aggregate/reset walk
 // this table so adding a counter is a two-line change (struct + here).
 constexpr std::uint64_t HotPathCounters::* kFields[] = {
-    &HotPathCounters::exp_calls,        &HotPathCounters::exp_cache_hits,
-    &HotPathCounters::pow_calls,        &HotPathCounters::pow_cache_hits,
-    &HotPathCounters::rng_draws,        &HotPathCounters::observer_dispatches,
-    &HotPathCounters::series_appends,   &HotPathCounters::wheel_inserts,
-    &HotPathCounters::wheel_cascades,   &HotPathCounters::heap_inserts,
-    &HotPathCounters::batch_drains,     &HotPathCounters::batch_drained,
-    &HotPathCounters::lp_barriers,      &HotPathCounters::cross_lp_events,
-    &HotPathCounters::mailbox_flushes,  &HotPathCounters::lookahead_ns,
+    &HotPathCounters::exp_calls,           &HotPathCounters::rng_draws,
+    &HotPathCounters::observer_dispatches, &HotPathCounters::series_appends,
+    &HotPathCounters::wheel_inserts,       &HotPathCounters::wheel_cascades,
+    &HotPathCounters::heap_inserts,        &HotPathCounters::batch_drained,
+    &HotPathCounters::lp_barriers,         &HotPathCounters::cross_lp_events,
+    &HotPathCounters::mailbox_flushes,     &HotPathCounters::lookahead_ns,
 };
-constexpr std::size_t kNumFields = sizeof(kFields) / sizeof(kFields[0]);
+constexpr std::size_t kNumFields = std::size(kFields);
+// A field missing from the table would silently never be flushed.
+static_assert(sizeof(HotPathCounters) == kNumFields * sizeof(std::uint64_t),
+              "every HotPathCounters field must be listed in kFields");
 
 std::atomic<std::uint64_t> g_aggregate[kNumFields];
 

@@ -1,7 +1,7 @@
 // Hot-path operation counters.
 //
 // The simulator's wall clock is dominated by a handful of per-packet
-// operations: transcendental math (exp/pow), RNG draws, link observer
+// operations: the CSFQ estimator's exp, RNG draws, link observer
 // dispatches and time-series appends.  Wall-clock numbers alone cannot
 // tell a regression in one of these from machine noise, so the hot
 // paths bump these counters unconditionally — the increments are plain
@@ -22,10 +22,9 @@
 namespace corelite::sim {
 
 struct HotPathCounters {
-  std::uint64_t exp_calls = 0;        ///< decay-cache exp() lookups
-  std::uint64_t exp_cache_hits = 0;   ///< ... served from the cache
-  std::uint64_t pow_calls = 0;        ///< decay-cache pow() lookups
-  std::uint64_t pow_cache_hits = 0;   ///< ... served from the cache
+  /// CSFQ rate-estimator std::exp calls.  perfbench/driver.cpp reads it
+  /// as csfq.exp_calls.
+  std::uint64_t exp_calls = 0;
   std::uint64_t rng_draws = 0;        ///< PRNG engine advances
   std::uint64_t observer_dispatches = 0;  ///< link observer callbacks invoked
   std::uint64_t series_appends = 0;   ///< stats::TimeSeries::add() samples
@@ -33,8 +32,10 @@ struct HotPathCounters {
   std::uint64_t wheel_cascades = 0;   ///< wheel entries re-filed a level down
   std::uint64_t heap_inserts = 0;     ///< events filed in the overflow heap
                                       ///  (every event when CORELITE_NO_WHEEL)
-  std::uint64_t batch_drains = 0;     ///< link events that fused >=1 completion
-  std::uint64_t batch_drained = 0;    ///< completions fused into batch events
+  /// Always 0: links dispatch one event per transmission completion and
+  /// fuse none.  Kept because perfbench/driver.cpp reads it as
+  /// sim.batch_fused.
+  std::uint64_t batch_drained = 0;
   std::uint64_t lp_barriers = 0;      ///< barrier crossings in the parallel engine
   std::uint64_t cross_lp_events = 0;  ///< packets handed between LPs via mailboxes
   std::uint64_t mailbox_flushes = 0;  ///< non-empty mailbox drains at a barrier
@@ -46,20 +47,9 @@ struct HotPathCounters {
     return total == 0 ? 0.0
                       : static_cast<double>(wheel_inserts) / static_cast<double>(total);
   }
-  /// Mean completions fused per batch-draining link event.
-  [[nodiscard]] double mean_batch_len() const {
-    return batch_drains == 0
-               ? 0.0
-               : static_cast<double>(batch_drained) / static_cast<double>(batch_drains);
-  }
-  [[nodiscard]] double exp_hit_rate() const {
-    return exp_calls == 0 ? 0.0
-                          : static_cast<double>(exp_cache_hits) / static_cast<double>(exp_calls);
-  }
-  [[nodiscard]] double pow_hit_rate() const {
-    return pow_calls == 0 ? 0.0
-                          : static_cast<double>(pow_cache_hits) / static_cast<double>(pow_calls);
-  }
+  /// Always 0: exp is a plain libm call with no cache in front of it.
+  /// Kept because perfbench/driver.cpp reads it as csfq.exp_hit_rate.
+  [[nodiscard]] double exp_hit_rate() const { return 0.0; }
 };
 
 namespace detail {

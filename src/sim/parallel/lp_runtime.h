@@ -40,13 +40,10 @@
 //     the parallel engine guarantees instead is reproducibility: any
 //     machine, any thread count, same (spec, N) => same digest.
 //
-// Interaction with PR 5's inline link batching: a link may fuse the
-// next transmission completion only when can_advance_inline() proves
-// nothing can interleave — and the window end w_k is installed as the
-// run deadline, so fusions never cross a barrier.  Mailbox messages
-// carry timestamps strictly(ish) beyond w_k, so they cannot interleave
-// with any fused completion either; digests are invariant under
-// CORELITE_NO_BATCH / CORELITE_NO_WHEEL, which tests also pin.
+// Every link transmission completion is its own queued event, so an
+// LP's run_until(w_k) never processes anything past the window end.
+// The wheel/heap tiering keeps exact (time, seq) order, so digests are
+// invariant under CORELITE_NO_WHEEL, which a test pins.
 #pragma once
 
 #include <cassert>

@@ -95,28 +95,6 @@ class Simulator {
   /// Run until the event queue is empty.
   void run();
 
-  /// Batched-transmission support (see Link::on_serialized).  True iff a
-  /// callback running now may process one extra logical event at time
-  /// `t` inline — i.e. no queued event and not the active run deadline
-  /// could interleave strictly before it.  The queue peek is exact: an
-  /// event at exactly `t` was scheduled earlier (lower sequence number)
-  /// than the inline event would have been, so ties refuse the fusion.
-  /// Always false outside run_until()/run().
-  [[nodiscard]] bool can_advance_inline(SimTime t) const {
-    return !stopped_ && t <= run_deadline_ && queue_.next_time() > t;
-  }
-
-  /// Advance the clock to `t` and account one logically processed
-  /// event, exactly as if an event scheduled for `t` had fired — which
-  /// keeps events_processed() identical whether a completion was fused
-  /// into a batch or dispatched through the queue.  Callers must have
-  /// checked can_advance_inline(t) first.
-  void advance_inline(SimTime t) {
-    assert(t >= now_ && "cannot advance the clock backwards");
-    now_ = t;
-    ++processed_;
-  }
-
   /// Request that the current run stops after the in-flight event returns.
   void stop() { stopped_ = true; }
 
@@ -167,9 +145,6 @@ class Simulator {
     });
   }
 
-  /// Sentinel making can_advance_inline() false outside a run loop.
-  static constexpr SimTime kNotRunning = SimTime::zero() - TimeDelta::infinite();
-
   // Declared before queue_: members are destroyed in reverse order, so
   // the retained resources outlive every pending callback.
   std::vector<std::shared_ptr<void>> retained_;
@@ -177,7 +152,6 @@ class Simulator {
   Rng rng_;
   SimTime now_ = SimTime::zero();
   TimeDelta exp_offset_ = TimeDelta::zero();  ///< experiment time skipped by fast-forwards
-  SimTime run_deadline_ = kNotRunning;  ///< deadline of the active run loop
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
 };

@@ -90,9 +90,7 @@ void write_manifest(std::ostream& os, const RunManifest& m) {
   os << "},\n";
   const sim::HotPathCounters& h = m.hotpath;
   os << "  \"hot_path_counters\": {"
-     << "\"exp_calls\": " << h.exp_calls << ", \"exp_cache_hits\": " << h.exp_cache_hits
-     << ", \"pow_calls\": " << h.pow_calls << ", \"pow_cache_hits\": " << h.pow_cache_hits
-     << ", \"rng_draws\": " << h.rng_draws
+     << "\"exp_calls\": " << h.exp_calls << ", \"rng_draws\": " << h.rng_draws
      << ", \"observer_dispatches\": " << h.observer_dispatches
      << ", \"series_appends\": " << h.series_appends << "},\n";
   os << "  \"metrics\": [\n";

@@ -204,6 +204,28 @@ TEST(ScenarioArgs, RejectsUnknownEnumValues) {
   }
 }
 
+// Regression: a non-positive epoch or a negative link delay used to be
+// copied into the spec unchecked, and the run never finished.
+TEST(ScenarioArgs, RejectsNonPositiveEpoch) {
+  for (const char* bad : {"0", "-5"}) {
+    ArgParser p{"prog", "test"};
+    register_scenario_options(p);
+    std::ostringstream err;
+    ASSERT_TRUE(parse(p, {"--epoch-ms", bad}, err));
+    EXPECT_FALSE(spec_from_args(p, err).has_value()) << bad;
+    EXPECT_NE(err.str().find("--epoch-ms must be > 0"), std::string::npos) << bad;
+  }
+}
+
+TEST(ScenarioArgs, RejectsNegativeLinkDelay) {
+  ArgParser p{"prog", "test"};
+  register_scenario_options(p);
+  std::ostringstream err;
+  ASSERT_TRUE(parse(p, {"--link-delay-ms", "-1"}, err));
+  EXPECT_FALSE(spec_from_args(p, err).has_value());
+  EXPECT_NE(err.str().find("--link-delay-ms must be >= 0"), std::string::npos);
+}
+
 TEST(ScenarioArgs, VariantSelectionsApply) {
   ArgParser p{"prog", "test"};
   register_scenario_options(p);

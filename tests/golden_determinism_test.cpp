@@ -8,12 +8,11 @@
 // running the Figure-5 scenario with seed 42; any engine change that
 // alters event order or RNG consumption shifts the event count and the
 // per-flow delivery checksum and fails here.
-// The timing-wheel tier and batched link transmission must be equally
-// invisible: the wheel only re-buckets entries (exact (time, seq) order
-// is restored on collection) and a fused completion replays the exact
-// event it elides, so every golden scenario must fingerprint
-// identically with the tiers on and off (CORELITE_NO_WHEEL /
-// CORELITE_NO_BATCH, read at EventQueue/Link construction).
+// The timing-wheel tier must be equally invisible: the wheel only
+// re-buckets entries (exact (time, seq) order is restored on
+// collection), so every golden scenario must fingerprint identically
+// with the wheel on and off (CORELITE_NO_WHEEL, read at EventQueue
+// construction).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -99,23 +98,17 @@ Fingerprint run_spec(scenario::ScenarioSpec spec) {
   return fp;
 }
 
-// Both escape hatches are read at construction time (EventQueue for the
-// wheel, Link for batching), so flipping the environment between
-// run_paper_scenario calls compares fresh engines inside one process.
-Fingerprint run_with(scenario::ScenarioSpec spec, bool wheel, bool batch) {
+// The escape hatch is read at EventQueue construction, so flipping the
+// environment between run_paper_scenario calls compares fresh engines
+// inside one process.
+Fingerprint run_with(scenario::ScenarioSpec spec, bool wheel) {
   if (wheel) {
     unsetenv("CORELITE_NO_WHEEL");
   } else {
     setenv("CORELITE_NO_WHEEL", "1", 1);
   }
-  if (batch) {
-    unsetenv("CORELITE_NO_BATCH");
-  } else {
-    setenv("CORELITE_NO_BATCH", "1", 1);
-  }
   const Fingerprint fp = run_spec(std::move(spec));
   unsetenv("CORELITE_NO_WHEEL");
-  unsetenv("CORELITE_NO_BATCH");
   return fp;
 }
 
@@ -136,20 +129,8 @@ constexpr GoldenCase kGoldenScenarios[] = {
 TEST(GoldenDeterminism, WheelOnMatchesWheelOffOnEveryGoldenScenario) {
   for (const auto& g : kGoldenScenarios) {
     for (const auto mech : {scenario::Mechanism::Corelite, scenario::Mechanism::Csfq}) {
-      const Fingerprint on = run_with(g.make(mech), /*wheel=*/true, /*batch=*/true);
-      const Fingerprint off = run_with(g.make(mech), /*wheel=*/false, /*batch=*/true);
-      EXPECT_EQ(on.events, off.events) << g.name << " mech " << static_cast<int>(mech);
-      EXPECT_EQ(on.delivered, off.delivered) << g.name << " mech " << static_cast<int>(mech);
-      EXPECT_EQ(on.checksum, off.checksum) << g.name << " mech " << static_cast<int>(mech);
-    }
-  }
-}
-
-TEST(GoldenDeterminism, BatchingOnMatchesBatchingOffOnEveryGoldenScenario) {
-  for (const auto& g : kGoldenScenarios) {
-    for (const auto mech : {scenario::Mechanism::Corelite, scenario::Mechanism::Csfq}) {
-      const Fingerprint on = run_with(g.make(mech), /*wheel=*/true, /*batch=*/true);
-      const Fingerprint off = run_with(g.make(mech), /*wheel=*/true, /*batch=*/false);
+      const Fingerprint on = run_with(g.make(mech), /*wheel=*/true);
+      const Fingerprint off = run_with(g.make(mech), /*wheel=*/false);
       EXPECT_EQ(on.events, off.events) << g.name << " mech " << static_cast<int>(mech);
       EXPECT_EQ(on.delivered, off.delivered) << g.name << " mech " << static_cast<int>(mech);
       EXPECT_EQ(on.checksum, off.checksum) << g.name << " mech " << static_cast<int>(mech);
@@ -159,11 +140,11 @@ TEST(GoldenDeterminism, BatchingOnMatchesBatchingOffOnEveryGoldenScenario) {
 
 TEST(GoldenDeterminism, BothTiersOffStillMatchesTheGoldenFingerprint) {
   // Anchors the equivalence chain to the frozen seed-engine constants:
-  // heap-only, unbatched — the engine configuration the golden numbers
-  // were captured on.
+  // heap-only, one event per link completion — the engine configuration
+  // the golden numbers were captured on.
   const Fingerprint fp =
       run_with(scenario::fig5_simultaneous_start(scenario::Mechanism::Corelite),
-               /*wheel=*/false, /*batch=*/false);
+               /*wheel=*/false);
   EXPECT_EQ(fp.events, 444442u);
   EXPECT_EQ(fp.delivered, 36665u);
   EXPECT_EQ(fp.checksum, 0xfcdc133cb00a346bULL);

@@ -2,15 +2,14 @@
 // observer callbacks, admission policies, statistics.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/link.h"
 #include "net/network.h"
-#include "sim/hotpath.h"
 #include "sim/simulator.h"
 
 namespace corelite::net {
@@ -137,6 +136,8 @@ TEST(Link, ObserverSeesEnqueueDequeueDrop) {
   EXPECT_EQ(obs.drop, 3);
   EXPECT_EQ(obs.deq, 2);
   EXPECT_FALSE(obs.lengths.empty());
+  // obs dies before f: detach it so ~Link does not notify a dead object.
+  l.remove_observer(&obs);
 }
 
 struct RejectOddFlows final : AdmissionPolicy {
@@ -203,16 +204,7 @@ TEST(Link, StatsCountDataBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched transmission (Link::on_serialized drain loop).
-
-/// Full externally observable trace of a burst: every observer callback
-/// and delivery, tagged with its virtual timestamp.  Batched and
-/// event-per-packet transmission must produce identical traces.
-struct BurstTrace {
-  std::vector<std::pair<std::string, double>> log;
-  std::uint64_t events = 0;
-  bool operator==(const BurstTrace& o) const { return log == o.log && events == o.events; }
-};
+// Transmission timing: one queued event per completion.
 
 struct TracingObserver final : LinkObserver {
   std::vector<std::pair<std::string, double>>* log;
@@ -224,93 +216,91 @@ struct TracingObserver final : LinkObserver {
   }
 };
 
-/// 6-packet burst at t=0 on a 4 Mb/s link with a 40 ms pipe (2 ms per
-/// packet, so completions at 2..12 ms all precede the first delivery at
-/// 42 ms — the batchable shape), plus one unrelated mid-burst event at
-/// 5 ms that must interleave between the 4 ms and 6 ms completions.
-/// Optionally pauses at `deadline` before finishing the run.
-BurstTrace run_burst(bool batch_on, double deadline_sec = -1.0) {
-  if (batch_on) {
-    unsetenv("CORELITE_NO_BATCH");
-  } else {
-    setenv("CORELITE_NO_BATCH", "1", 1);
-  }
-  BurstTrace trace;
-  {
-    TwoNodeFixture f;
-    Link& l = f.make_link(sim::Rate::mbps(4), sim::TimeDelta::millis(40));
-    TracingObserver obs;
-    obs.log = &trace.log;
-    l.add_observer(&obs, Link::kObserveDequeue | Link::kObserveQueueLength);
-    f.network.node(f.b).set_local_sink([&](Packet&& p) {
-      trace.log.emplace_back("arr" + std::to_string(p.uid), f.simulator.now().sec());
-    });
-    f.simulator.at_detached(sim::SimTime::seconds(0.005), [&] {
-      trace.log.emplace_back("tick", f.simulator.now().sec());
-    });
-    for (std::uint64_t uid = 1; uid <= 6; ++uid) l.send(f.data(uid));
-    if (deadline_sec >= 0.0) {
-      f.simulator.run_until(sim::SimTime::seconds(deadline_sec));
-      trace.log.emplace_back("pause", f.simulator.now().sec());
+/// Every observer callback and delivery of a burst, tagged with its
+/// virtual timestamp, plus the engine's processed-event count.
+struct BurstTrace {
+  std::vector<std::pair<std::string, double>> log;
+  std::uint64_t events = 0;
+
+  [[nodiscard]] double time_of(const std::string& tag) const {
+    for (const auto& [t, at] : log) {
+      if (t == tag) return at;
     }
-    f.simulator.run();
-    trace.events = f.simulator.events_processed();
-    l.remove_observer(&obs);
+    ADD_FAILURE() << "no " << tag << " in the trace";
+    return -1.0;
   }
-  unsetenv("CORELITE_NO_BATCH");
+  [[nodiscard]] std::size_t index_of(const std::string& tag) const {
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (log[i].first == tag) return i;
+    }
+    ADD_FAILURE() << "no " << tag << " in the trace";
+    return log.size();
+  }
+};
+
+/// 6-packet burst at t=0 on a 4 Mb/s link with a 40 ms pipe (2 ms per
+/// packet: dequeues at 0..10 ms, completions at 2..12 ms, arrivals at
+/// 42..52 ms), plus one unrelated event at 5 ms that must interleave
+/// between the 4 ms and 6 ms dequeues.  Optionally pauses at `deadline`
+/// before finishing the run.
+BurstTrace run_burst(double deadline_sec = -1.0) {
+  BurstTrace trace;
+  TwoNodeFixture f;
+  Link& l = f.make_link(sim::Rate::mbps(4), sim::TimeDelta::millis(40));
+  TracingObserver obs;
+  obs.log = &trace.log;
+  l.add_observer(&obs, Link::kObserveDequeue | Link::kObserveQueueLength);
+  f.network.node(f.b).set_local_sink([&](Packet&& p) {
+    trace.log.emplace_back("arr" + std::to_string(p.uid), f.simulator.now().sec());
+  });
+  f.simulator.at_detached(sim::SimTime::seconds(0.005), [&] {
+    trace.log.emplace_back("tick", f.simulator.now().sec());
+  });
+  for (std::uint64_t uid = 1; uid <= 6; ++uid) l.send(f.data(uid));
+  if (deadline_sec >= 0.0) {
+    f.simulator.run_until(sim::SimTime::seconds(deadline_sec));
+    trace.log.emplace_back("pause", f.simulator.now().sec());
+  }
+  f.simulator.run();
+  trace.events = f.simulator.events_processed();
+  l.remove_observer(&obs);
   return trace;
 }
 
-TEST(LinkBatching, BatchedTraceIsBitIdenticalToEventPerPacket) {
-  const BurstTrace batched = run_burst(/*batch_on=*/true);
-  const BurstTrace unbatched = run_burst(/*batch_on=*/false);
-  EXPECT_EQ(batched, unbatched);
-  // The mid-burst tick must sit between the 4 ms and 6 ms dequeues in
-  // both traces — batching may not reorder an interleaving event.
-  const auto find = [&](const std::string& tag) {
-    for (std::size_t i = 0; i < batched.log.size(); ++i) {
-      if (batched.log[i].first == tag) return i;
-    }
-    return batched.log.size();
-  };
-  EXPECT_LT(find("deq3"), find("tick"));
-  EXPECT_LT(find("tick"), find("deq4"));
-}
-
-TEST(LinkBatching, EventsProcessedCountsFusedCompletions) {
-  // advance_inline() accounts one processed event per fused completion,
-  // so the externally visible event count must not depend on batching.
-  const BurstTrace batched = run_burst(true);
-  const BurstTrace unbatched = run_burst(false);
-  EXPECT_EQ(batched.events, unbatched.events);
-}
-
-TEST(LinkBatching, RunUntilDeadlineIsNotOvershotByADrain) {
-  // Pause mid-burst: completions past the deadline must not be fused
-  // early, the clock must stop exactly at the deadline, and resuming
-  // must finish identically to the unbatched engine.
-  const BurstTrace batched = run_burst(true, /*deadline_sec=*/0.005);
-  const BurstTrace unbatched = run_burst(false, /*deadline_sec=*/0.005);
-  EXPECT_EQ(batched, unbatched);
-  bool saw_pause = false;
-  for (const auto& [tag, at] : batched.log) {
-    if (tag == "pause") {
-      saw_pause = true;
-      EXPECT_DOUBLE_EQ(at, 0.005);
-    }
-    // Nothing after time 5 ms may appear before the pause entry.
-    if (!saw_pause) EXPECT_LE(at, 0.005) << tag;
+TEST(LinkTiming, BurstDequeuesArrivalsAndTickHaveExactTimes) {
+  const BurstTrace trace = run_burst();
+  for (int i = 1; i <= 6; ++i) {
+    const std::string uid = std::to_string(i);
+    EXPECT_DOUBLE_EQ(trace.time_of("deq" + uid), 0.002 * (i - 1)) << uid;
+    EXPECT_DOUBLE_EQ(trace.time_of("arr" + uid), 0.040 + 0.002 * i) << uid;
   }
-  EXPECT_TRUE(saw_pause);
+  EXPECT_DOUBLE_EQ(trace.time_of("tick"), 0.005);
+  // The unrelated 5 ms event fires between the 4 ms and 6 ms dequeues.
+  EXPECT_LT(trace.index_of("deq3"), trace.index_of("tick"));
+  EXPECT_LT(trace.index_of("tick"), trace.index_of("deq4"));
 }
 
-TEST(LinkBatching, EscapeHatchDisablesFusion) {
-  sim::reset_hotpath_counters();
-  (void)run_burst(true);
-  EXPECT_GT(sim::aggregated_hotpath_counters().batch_drained, 0u);
-  sim::reset_hotpath_counters();
-  (void)run_burst(false);
-  EXPECT_EQ(sim::aggregated_hotpath_counters().batch_drained, 0u);
+TEST(LinkTiming, EventsProcessedCountsEveryCompletion) {
+  // 6 transmission completions + 6 deliveries + the 5 ms tick.
+  EXPECT_EQ(run_burst().events, 13u);
+}
+
+TEST(LinkTiming, RunUntilPausesExactlyAtTheDeadline) {
+  // Pause mid-burst: the clock stops exactly at the deadline, nothing
+  // later is logged before the pause, and resuming finishes the burst
+  // exactly as an uninterrupted run does.
+  const BurstTrace paused = run_burst(/*deadline_sec=*/0.005);
+  const std::size_t pause = paused.index_of("pause");
+  ASSERT_LT(pause, paused.log.size());
+  EXPECT_DOUBLE_EQ(paused.log[pause].second, 0.005);
+  for (std::size_t i = 0; i < pause; ++i) {
+    EXPECT_LE(paused.log[i].second, 0.005) << paused.log[i].first;
+  }
+  auto resumed = paused.log;
+  resumed.erase(resumed.begin() + static_cast<std::ptrdiff_t>(pause));
+  const BurstTrace straight = run_burst();
+  EXPECT_EQ(resumed, straight.log);
+  EXPECT_EQ(paused.events, straight.events);
 }
 
 }  // namespace

@@ -58,7 +58,6 @@ MANIFEST_REQUIRED = {
 BUILD_REQUIRED = ("git_sha", "compiler", "flags", "build_type")
 HOTPATH_REQUIRED = (
     "exp_calls",
-    "pow_calls",
     "rng_draws",
     "observer_dispatches",
     "series_appends",
