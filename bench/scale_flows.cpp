@@ -47,7 +47,6 @@
 #include "sim/parallel/thread_budget.h"
 #include "stats/aggregate.h"
 #include "telemetry/harness.h"
-#include "telemetry/metrics.h"
 
 namespace sc = corelite::scenario;
 namespace rn = corelite::runner;
@@ -181,7 +180,6 @@ int main(int argc, char** argv) {
   }
   if (jobs < 1) jobs = 1;
   if (repeats < 1) repeats = 1;
-  tel::set_enabled(telemetry);
 
   // ---- Scaling curve: generated workloads at bench scale ----------------
   std::vector<std::size_t> curve;
@@ -295,22 +293,9 @@ int main(int argc, char** argv) {
   }
 
   if (profile) {
-    const corelite::sim::HotPathCounters c = corelite::sim::aggregated_hotpath_counters();
-    std::printf("\nhot-path profile (totals across all %zu runs)\n", runs.size());
-    std::printf("  exp calls            %12llu\n", static_cast<unsigned long long>(c.exp_calls));
-    std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
-    std::printf("  observer dispatches  %12llu\n",
-                static_cast<unsigned long long>(c.observer_dispatches));
-    std::printf("  series appends       %12llu\n",
-                static_cast<unsigned long long>(c.series_appends));
-    std::printf("  wheel inserts        %12llu  (%.1f%% of events; heap %llu, cascades %llu)\n",
-                static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
-                static_cast<unsigned long long>(c.heap_inserts),
-                static_cast<unsigned long long>(c.wheel_cascades));
-    std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
-                static_cast<unsigned long long>(c.lp_barriers),
-                static_cast<unsigned long long>(c.cross_lp_events),
-                static_cast<unsigned long long>(c.mailbox_flushes));
+    tel::print_hotpath_profile(
+        stdout, "hot-path profile (totals across all " + std::to_string(runs.size()) + " runs)",
+        corelite::sim::aggregated_hotpath_counters());
   }
 
   std::printf(

@@ -16,7 +16,7 @@
 // --jobs N        parallel pass width (default: hardware threads, min 2)
 // --tiny          shrink the grid to 16 x 10 s runs — the CI smoke grid
 // --profile       print the hot-path op counters and add them to the JSON
-// --telemetry     enable the metrics registry + write a run manifest
+// --telemetry     write a run manifest
 // --trace-out P   write a Chrome trace (virtual tracks from run 0 of the
 //                 parallel pass, wall spans for every parallel run);
 //                 implies --telemetry
@@ -39,7 +39,6 @@
 #include "sim/hotpath.h"
 #include "stats/aggregate.h"
 #include "telemetry/harness.h"
-#include "telemetry/metrics.h"
 
 namespace sc = corelite::scenario;
 namespace rn = corelite::runner;
@@ -90,7 +89,6 @@ int main(int argc, char** argv) {
     }
   }
   if (jobs < 1) jobs = 1;
-  tel::set_enabled(telemetry);
 
   rn::SweepGrid grid;
   grid.scenarios = {"fig5", "fig7"};
@@ -168,24 +166,7 @@ int main(int argc, char** argv) {
   // Both passes' workers have flushed into the process aggregate, so
   // these totals cover the serial and the parallel execution together.
   const corelite::sim::HotPathCounters ops = corelite::sim::aggregated_hotpath_counters();
-  if (profile) {
-    std::printf("\nhot-path op counters (both passes)\n");
-    std::printf("%-22s %14s\n", "op", "count");
-    std::printf("%-22s %14llu\n", "exp calls", static_cast<unsigned long long>(ops.exp_calls));
-    std::printf("%-22s %14llu\n", "rng draws", static_cast<unsigned long long>(ops.rng_draws));
-    std::printf("%-22s %14llu\n", "observer dispatches",
-                static_cast<unsigned long long>(ops.observer_dispatches));
-    std::printf("%-22s %14llu\n", "series appends",
-                static_cast<unsigned long long>(ops.series_appends));
-    std::printf("%-22s %14llu  (%.1f%% of events; heap %llu, cascades %llu)\n", "wheel inserts",
-                static_cast<unsigned long long>(ops.wheel_inserts), ops.wheel_insert_rate() * 100.0,
-                static_cast<unsigned long long>(ops.heap_inserts),
-                static_cast<unsigned long long>(ops.wheel_cascades));
-    std::printf("%-22s %14llu  (cross-LP events %llu, mailbox flushes %llu)\n", "lp barriers",
-                static_cast<unsigned long long>(ops.lp_barriers),
-                static_cast<unsigned long long>(ops.cross_lp_events),
-                static_cast<unsigned long long>(ops.mailbox_flushes));
-  }
+  if (profile) tel::print_hotpath_profile(stdout, "hot-path op counters (both passes)", ops);
 
   std::FILE* json = std::fopen("BENCH_sweep.json", "w");
   if (json != nullptr) {

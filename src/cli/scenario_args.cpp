@@ -156,9 +156,14 @@ std::optional<scenario::ScenarioSpec> spec_from_args(const ArgParser& parser,
     }
   }
 
-  if (parser.get_double("duration") > 0.0) {
-    spec.duration = sim::SimTime::seconds(parser.get_double("duration"));
+  // 0 keeps the scenario's own length; a negative one used to fall back
+  // to it silently.  (The parser already rejects non-finite numbers.)
+  const double duration = parser.get_double("duration");
+  if (duration < 0.0) {
+    err << "--duration must be >= 0 (0 = scenario default), got " << duration << "\n";
+    return std::nullopt;
   }
+  if (duration > 0.0) spec.duration = sim::SimTime::seconds(duration);
   spec.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
   spec.lp = static_cast<std::size_t>(std::max<std::int64_t>(1, parser.get_int("lp")));
   spec.lp_threads = static_cast<std::size_t>(std::max<std::int64_t>(0, parser.get_int("lp-threads")));

@@ -2,22 +2,9 @@
 
 #include <utility>
 
-#include "telemetry/metrics.h"
+#include "sim/hotpath.h"
 
 namespace corelite::qos {
-
-namespace {
-
-const telemetry::Counter& markers_seen() {
-  static const telemetry::Counter c{"qos.markers_seen"};
-  return c;
-}
-const telemetry::Counter& feedback_counter() {
-  static const telemetry::Counter c{"qos.feedback_sent"};
-  return c;
-}
-
-}  // namespace
 
 struct CoreliteCoreRouter::LinkState final : net::LinkObserver {
   CoreliteCoreRouter* owner = nullptr;
@@ -48,7 +35,7 @@ struct CoreliteCoreRouter::LinkState final : net::LinkObserver {
 
   void on_enqueue(const net::Packet& p, sim::SimTime /*now*/) override {
     if (p.kind != net::PacketKind::Marker) return;
-    markers_seen().add();
+    ++sim::hotpath_counters().markers_seen;
     // The router copies the marker without any per-flow processing; the
     // selector decides (statistically) whether it becomes feedback.
     selector->on_marker(p.marker, feedback_fn);
@@ -93,7 +80,7 @@ void CoreliteCoreRouter::send_feedback(const net::MarkerInfo& m) {
   fb.feedback_origin = node_;
   fb.created = net_.local_sim(node_).now();
   ++feedback_sent_;
-  feedback_counter().add();
+  ++sim::hotpath_counters().feedback_sent;
   net_.inject(node_, std::move(fb));
 }
 

@@ -25,7 +25,6 @@
 #include "sim/parallel/lp_runtime.h"
 #include "sim/simulator.h"
 #include "stats/fairness.h"
-#include "telemetry/metrics.h"
 
 namespace corelite::scenario {
 
@@ -734,7 +733,6 @@ ScenarioResult run_paper_scenario(const ScenarioSpec& spec) {
     }
   }
   sim::flush_hotpath_counters();
-  telemetry::flush_thread_metrics();
   return result;
 }
 

@@ -8,16 +8,32 @@ namespace corelite::sim {
 
 namespace {
 
-// Every counter field, in declaration order.  flush/aggregate/reset walk
-// this table so adding a counter is a two-line change (struct + here).
-constexpr std::uint64_t HotPathCounters::* kFields[] = {
-    &HotPathCounters::exp_calls,           &HotPathCounters::rng_draws,
-    &HotPathCounters::observer_dispatches, &HotPathCounters::series_appends,
-    &HotPathCounters::wheel_inserts,       &HotPathCounters::wheel_cascades,
-    &HotPathCounters::heap_inserts,        &HotPathCounters::batch_drained,
-    &HotPathCounters::lp_barriers,         &HotPathCounters::cross_lp_events,
-    &HotPathCounters::mailbox_flushes,     &HotPathCounters::lookahead_ns,
+// Every counter field, in declaration order, under the name the manifest
+// and the --profile table print.  flush/aggregate/reset walk this table
+// too, so adding a counter is a two-line change (struct + here).
+#define CORELITE_FIELD(f) HotPathField{#f, &HotPathCounters::f}
+constexpr HotPathField kFields[] = {
+    CORELITE_FIELD(exp_calls),
+    CORELITE_FIELD(rng_draws),
+    CORELITE_FIELD(observer_dispatches),
+    CORELITE_FIELD(series_appends),
+    CORELITE_FIELD(wheel_inserts),
+    CORELITE_FIELD(wheel_cascades),
+    CORELITE_FIELD(heap_inserts),
+    CORELITE_FIELD(batch_drained),
+    CORELITE_FIELD(lp_barriers),
+    CORELITE_FIELD(cross_lp_events),
+    CORELITE_FIELD(mailbox_flushes),
+    CORELITE_FIELD(lookahead_ns),
+    CORELITE_FIELD(drops_admission),
+    CORELITE_FIELD(drops_control_loss),
+    CORELITE_FIELD(drops_queue_full),
+    CORELITE_FIELD(drops_queue_internal),
+    CORELITE_FIELD(markers_seen),
+    CORELITE_FIELD(feedback_sent),
+    CORELITE_FIELD(relabels),
 };
+#undef CORELITE_FIELD
 constexpr std::size_t kNumFields = std::size(kFields);
 // A field missing from the table would silently never be flushed.
 static_assert(sizeof(HotPathCounters) == kNumFields * sizeof(std::uint64_t),
@@ -27,10 +43,12 @@ std::atomic<std::uint64_t> g_aggregate[kNumFields];
 
 }  // namespace
 
+std::span<const HotPathField> hotpath_fields() { return kFields; }
+
 void flush_hotpath_counters() {
   HotPathCounters& c = hotpath_counters();
   for (std::size_t i = 0; i < kNumFields; ++i) {
-    g_aggregate[i].fetch_add(c.*kFields[i], std::memory_order_relaxed);
+    g_aggregate[i].fetch_add(c.*kFields[i].member, std::memory_order_relaxed);
   }
   c = HotPathCounters{};
 }
@@ -38,7 +56,7 @@ void flush_hotpath_counters() {
 HotPathCounters aggregated_hotpath_counters() {
   HotPathCounters out = hotpath_counters();
   for (std::size_t i = 0; i < kNumFields; ++i) {
-    out.*kFields[i] += g_aggregate[i].load(std::memory_order_relaxed);
+    out.*kFields[i].member += g_aggregate[i].load(std::memory_order_relaxed);
   }
   return out;
 }

@@ -1,23 +1,33 @@
-// Hot-path operation counters.
+// The simulator's one counter set.
 //
 // The simulator's wall clock is dominated by a handful of per-packet
 // operations: the CSFQ estimator's exp, RNG draws, link observer
 // dispatches and time-series appends.  Wall-clock numbers alone cannot
 // tell a regression in one of these from machine noise, so the hot
 // paths bump these counters unconditionally — the increments are plain
-// thread-local adds, cheap enough to keep compiled into release builds
-// — and `corelite_sim --profile` / bench/scale_flows surface them.
+// thread-local adds, cheap enough to keep compiled into release builds.
+// The same block carries the per-cause drop counts and the control-plane
+// event counts (markers, feedback, CSFQ relabels).  Counters never feed
+// a result or a digest.
+//
+// Every counter is named once, in the table behind hotpath_fields():
+// the run manifest's `hot_path_counters` object and the --profile table
+// (telemetry/manifest.h) iterate it, so a new field shows up in both.
 //
 // Threading: each thread accumulates into its own thread-local block
 // (no synchronization on the hot path).  A thread that finishes a unit
 // of work publishes its block into a process-wide aggregate with
-// flush_hotpath_counters() — a handful of relaxed atomic adds — which
-// is what the sweep runner does after every run, so --profile output is
-// complete at any --jobs level.  aggregated_hotpath_counters() returns
-// the aggregate plus the calling thread's unflushed local block.
+// flush_hotpath_counters() — a handful of relaxed atomic adds.
+// run_paper_scenario() and the sweep runner do this after every run,
+// and each extra LP worker thread before it joins, so --profile output
+// and manifests are complete at any --jobs or --lp-threads level.
+// aggregated_hotpath_counters() returns the aggregate plus the calling
+// thread's unflushed local block.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string_view>
 
 namespace corelite::sim {
 
@@ -40,6 +50,15 @@ struct HotPathCounters {
   std::uint64_t cross_lp_events = 0;  ///< packets handed between LPs via mailboxes
   std::uint64_t mailbox_flushes = 0;  ///< non-empty mailbox drains at a barrier
   std::uint64_t lookahead_ns = 0;     ///< conservative window length (summed per run)
+  // Drops by cause.  admission + queue_full + queue_internal is the
+  // run's data-drop total (ScenarioResult::total_data_drops, packet mode).
+  std::uint64_t drops_admission = 0;      ///< rejected by a link's admission hook
+  std::uint64_t drops_control_loss = 0;   ///< control packets lost in transit (lossy control plane)
+  std::uint64_t drops_queue_full = 0;     ///< rejected on enqueue
+  std::uint64_t drops_queue_internal = 0; ///< evicted from inside a queue (e.g. WFQ)
+  std::uint64_t markers_seen = 0;     ///< Corelite markers reaching a core router
+  std::uint64_t feedback_sent = 0;    ///< Corelite core -> edge feedback messages
+  std::uint64_t relabels = 0;         ///< CSFQ labels lowered to the link's alpha
 
   /// Share of scheduled events the wheel tier absorbed.
   [[nodiscard]] double wheel_insert_rate() const {
@@ -51,6 +70,16 @@ struct HotPathCounters {
   /// Kept because perfbench/driver.cpp reads it as csfq.exp_hit_rate.
   [[nodiscard]] double exp_hit_rate() const { return 0.0; }
 };
+
+/// One entry of the counter table: the field's name (as written in the
+/// manifest and the --profile table) and the field itself.
+struct HotPathField {
+  std::string_view name;
+  std::uint64_t HotPathCounters::*member;
+};
+
+/// Every HotPathCounters field, in declaration order.
+[[nodiscard]] std::span<const HotPathField> hotpath_fields();
 
 namespace detail {
 /// Zero-initialized POD in the TLS image: access compiles to a couple
@@ -66,13 +95,14 @@ inline constinit thread_local HotPathCounters t_hotpath_counters{};
 }
 
 /// Add the calling thread's block into the process-wide aggregate and
-/// zero the local block.  Called by the sweep runner after each run and
-/// by run_paper_scenario() on completion; cheap (a dozen relaxed adds).
+/// zero the local block.  Called by run_paper_scenario() and the sweep
+/// runner after each run and by LP worker threads before they exit;
+/// cheap (one relaxed add per field).
 void flush_hotpath_counters();
 
 /// Process-wide aggregate (all flushed blocks) plus the calling
-/// thread's local block.  Worker threads must have flushed (the sweep
-/// runner does) for their contribution to be visible.
+/// thread's local block.  Worker threads must have flushed for their
+/// contribution to be visible.
 [[nodiscard]] HotPathCounters aggregated_hotpath_counters();
 
 /// Zero both the aggregate and the calling thread's local block.

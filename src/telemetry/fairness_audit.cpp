@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "stats/fairness.h"
@@ -16,6 +18,7 @@ FairnessAuditor::FairnessAuditor(FairnessAuditConfig cfg, const stats::FlowTrack
       caps_{std::move(link_caps_pps)},
       flows_{std::move(flows)},
       active_{std::move(active)} {
+  check_config(cfg_);
   alloc_flows_.reserve(flows_.size());
   for (const FlowInfo& f : flows_) {
     sim::fluid::AllocFlow a;
@@ -26,6 +29,17 @@ FairnessAuditor::FairnessAuditor(FairnessAuditConfig cfg, const stats::FlowTrack
   cursors_.resize(flows_.size());
   if (cfg_.ring_capacity > 0) ring_.reserve(cfg_.ring_capacity);
   report_.config = cfg_;
+}
+
+void FairnessAuditor::check_config(const FairnessAuditConfig& cfg) {
+  const double window = cfg.window.sec();
+  if (!std::isfinite(window) || window <= 0.0) {
+    throw std::invalid_argument("audit window must be a positive number of seconds, got " +
+                                std::to_string(window));
+  }
+  if (!std::isfinite(cfg.band) || cfg.band <= 0.0) {
+    throw std::invalid_argument("audit band must be positive, got " + std::to_string(cfg.band));
+  }
 }
 
 void FairnessAuditor::add_gauge(std::string name, std::function<double()> poll) {
@@ -133,12 +147,6 @@ void FairnessAuditor::on_window(sim::SimTime now) {
   w.gauges.reserve(gauges_.size());
   for (const Gauge_& g : gauges_) w.gauges.push_back(g.poll ? g.poll() : 0.0);
 
-  // Live registry streams (cheap no-ops when telemetry is off).
-  m_windows_.add();
-  m_violations_.add(w.violations);
-  m_jain_.set(w.jain);
-  m_max_dev_.set(w.max_abs_deviation);
-
   // Watchdog: consecutive fully-measured violating windows.  Boundary
   // windows are transition noise, grace windows are convergence ramp —
   // both reset the count rather than pausing it, so a trip always means
@@ -171,7 +179,6 @@ void FairnessAuditor::on_window(sim::SimTime now) {
     for (std::size_t k = 0; k < n; ++k) {
       report_.flight_recorder.push_back(ring_[(start + k) % n]);
     }
-    m_watchdog_.add();
   }
 
   if (!normalized_active.empty()) report_.min_jain = std::min(report_.min_jain, w.jain);

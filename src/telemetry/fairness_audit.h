@@ -51,7 +51,6 @@
 #include "sim/fluid/allocator.h"
 #include "sim/units.h"
 #include "stats/flow_tracker.h"
-#include "telemetry/metrics.h"
 
 namespace corelite::telemetry {
 
@@ -146,9 +145,16 @@ class FairnessAuditor {
   /// Is flow `id` active (inside an activity window) at time `t_sec`?
   using ActiveFn = std::function<bool(net::FlowId, double)>;
 
+  /// Throws std::invalid_argument (via check_config) on a bad config.
   FairnessAuditor(FairnessAuditConfig cfg, const stats::FlowTracker& tracker,
                   std::vector<double> link_caps_pps, std::vector<FlowInfo> flows,
                   ActiveFn active);
+
+  /// Throws std::invalid_argument unless the window and the band are
+  /// positive and finite.  A negative band flags every window and a
+  /// non-positive window never advances; CLIs call this to reject such
+  /// values before the run starts.
+  static void check_config(const FairnessAuditConfig& cfg);
 
   FairnessAuditor(const FairnessAuditor&) = delete;
   FairnessAuditor& operator=(const FairnessAuditor&) = delete;
@@ -193,13 +199,6 @@ class FairnessAuditor {
   std::size_t ring_next_ = 0;
 
   FairnessAuditReport report_;
-
-  // Live registry handles (no-ops unless telemetry::set_enabled(true)).
-  Gauge m_jain_{"audit.jain"};
-  Gauge m_max_dev_{"audit.max_abs_deviation"};
-  Counter m_windows_{"audit.windows"};
-  Counter m_violations_{"audit.violations"};
-  Counter m_watchdog_{"audit.watchdog_fired"};
 };
 
 }  // namespace corelite::telemetry

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "stats/json_writer.h"
-#include "telemetry/metrics.h"
 
 #ifndef CORELITE_GIT_SHA
 #define CORELITE_GIT_SHA "unknown"
@@ -33,38 +32,6 @@ std::string digest_hex(std::uint64_t digest) {
   return buf;
 }
 
-namespace {
-
-void write_metric(std::ostream& os, const MetricSnapshot& m) {
-  os << "    {\"name\": \"" << stats::json_escape(m.name) << "\", \"kind\": \""
-     << metric_kind_name(m.kind) << "\", \"count\": " << m.count
-     << ", \"sum\": " << stats::json_number(m.sum);
-  if (m.kind != MetricKind::Counter && m.count > 0) {
-    os << ", \"min\": " << stats::json_number(m.min)
-       << ", \"max\": " << stats::json_number(m.max)
-       << ", \"mean\": " << stats::json_number(m.mean());
-  }
-  if (m.kind == MetricKind::Gauge && m.count > 0) {
-    os << ", \"last\": " << stats::json_number(m.last);
-  }
-  if (m.kind == MetricKind::Histogram && m.count > 0) {
-    // Sparse bucket list: [bucket_floor, count] pairs for non-empty
-    // buckets keeps the document small for narrow distributions.
-    os << ", \"buckets\": [";
-    bool first = true;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      if (m.buckets[b] == 0) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << "[" << stats::json_number(histogram_bucket_floor(b)) << ", " << m.buckets[b] << "]";
-    }
-    os << "]";
-  }
-  os << "}";
-}
-
-}  // namespace
-
 void write_manifest(std::ostream& os, const RunManifest& m) {
   os << "{\n"
      << "  \"tool\": \"" << stats::json_escape(m.tool) << "\",\n"
@@ -88,18 +55,13 @@ void write_manifest(std::ostream& os, const RunManifest& m) {
        << "\": " << stats::json_number(m.wall_phases_ms[i].second);
   }
   os << "},\n";
-  const sim::HotPathCounters& h = m.hotpath;
-  os << "  \"hot_path_counters\": {"
-     << "\"exp_calls\": " << h.exp_calls << ", \"rng_draws\": " << h.rng_draws
-     << ", \"observer_dispatches\": " << h.observer_dispatches
-     << ", \"series_appends\": " << h.series_appends << "},\n";
-  os << "  \"metrics\": [\n";
-  const auto metrics = metrics_snapshot();
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    write_metric(os, metrics[i]);
-    os << (i + 1 < metrics.size() ? ",\n" : "\n");
+  os << "  \"hot_path_counters\": {";
+  const char* sep = "";
+  for (const sim::HotPathField& f : sim::hotpath_fields()) {
+    os << sep << "\"" << f.name << "\": " << m.hotpath.*f.member;
+    sep = ", ";
   }
-  os << "  ],\n";
+  os << "},\n";
   os << "  \"extra\": {";
   for (std::size_t i = 0; i < m.extra.size(); ++i) {
     if (i > 0) os << ", ";
@@ -107,6 +69,16 @@ void write_manifest(std::ostream& os, const RunManifest& m) {
        << stats::json_escape(m.extra[i].second) << "\"";
   }
   os << "}\n}\n";
+}
+
+void print_hotpath_profile(std::FILE* out, std::string_view title,
+                           const sim::HotPathCounters& c) {
+  std::fprintf(out, "\n%.*s\n", static_cast<int>(title.size()), title.data());
+  for (const sim::HotPathField& f : sim::hotpath_fields()) {
+    std::fprintf(out, "  %-22.*s %14llu\n", static_cast<int>(f.name.size()), f.name.data(),
+                 static_cast<unsigned long long>(c.*f.member));
+  }
+  std::fprintf(out, "  %-22s %13.1f%%\n", "wheel share of events", c.wheel_insert_rate() * 100.0);
 }
 
 }  // namespace corelite::telemetry

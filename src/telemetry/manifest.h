@@ -4,14 +4,18 @@
 // A manifest records WHAT ran (tool, scenario grid, mechanism, seeds,
 // event count), ON WHAT (git SHA, compiler, flags, build type — baked
 // in at compile time), HOW LONG (named wall-clock phases) and WHAT CAME
-// OUT (the FNV-1a result digest that the determinism tests key on, the
-// hot-path op counters, and the telemetry metrics snapshot).  The
+// OUT (the FNV-1a result digest that the determinism tests key on, and
+// every counter of sim::HotPathCounters under its table name).  The
 // digest field is the same value the binary prints, so a manifest can
 // be validated against the run's visible output (tools/
 // check_telemetry.py does exactly that in CI).
+//
+// print_hotpath_profile() is the --profile table every binary prints;
+// it walks the same counter table as the manifest.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -50,7 +54,12 @@ struct RunManifest {
   std::vector<std::pair<std::string, std::string>> extra;
 };
 
-/// Emit the manifest plus build info and the current metrics snapshot.
+/// Emit the manifest plus build info.
 void write_manifest(std::ostream& os, const RunManifest& m);
+
+/// The --profile table: `title`, then one line per hot-path counter in
+/// table order, then the wheel's share of scheduled events.
+void print_hotpath_profile(std::FILE* out, std::string_view title,
+                           const sim::HotPathCounters& c);
 
 }  // namespace corelite::telemetry

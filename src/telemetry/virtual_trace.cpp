@@ -51,7 +51,6 @@ void LinkTraceCollector::Shim::on_dequeue(const net::Packet& p, sim::SimTime now
   if (const auto it = pending.find(p.uid); it != pending.end()) {
     const double wait = ts - it->second;
     owner->out_.add_complete(owner->pid_, tid, span_name(p), "queue", it->second, wait);
-    owner->queue_wait_us_.observe(wait);
     pending.erase(it);
   }
   if (link != nullptr) {
@@ -70,7 +69,6 @@ void LinkTraceCollector::Shim::on_drop(const net::Packet& p, sim::SimTime now) {
 void LinkTraceCollector::Shim::on_queue_length(std::size_t data_packets, sim::SimTime now) {
   owner->out_.add_counter(owner->pid_, counter_name, now.sec() * kUsPerSec, "packets",
                           static_cast<double>(data_packets));
-  owner->queue_depth_.observe(static_cast<double>(data_packets));
 }
 
 void LinkTraceCollector::Shim::on_link_destroyed(net::Link& /*l*/) { link = nullptr; }

@@ -9,9 +9,6 @@
 // Simulated seconds map to trace microseconds, so Perfetto's timeline
 // reads directly in simulated time.
 //
-// It also feeds the metrics registry: per-hop queueing delay
-// ("net.queue_wait_us") and queue depth ("net.queue_depth") histograms.
-//
 // Lifetime: the collector detaches from links it outlives and — via
 // LinkObserver::on_link_destroyed — survives links that die first, so
 // the owning binary can hold it across a run_paper_scenario() call
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "net/link.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace corelite::telemetry {
@@ -65,8 +61,6 @@ class LinkTraceCollector {
   int pid_;
   int next_tid_ = 1;
   std::vector<std::unique_ptr<Shim>> shims_;
-  Histogram queue_wait_us_{"net.queue_wait_us"};
-  Histogram queue_depth_{"net.queue_depth"};
 };
 
 }  // namespace corelite::telemetry

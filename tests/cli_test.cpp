@@ -226,6 +226,35 @@ TEST(ScenarioArgs, RejectsNegativeLinkDelay) {
   EXPECT_NE(err.str().find("--link-delay-ms must be >= 0"), std::string::npos);
 }
 
+TEST(ScenarioArgs, RejectsNegativeOrNonFiniteDuration) {
+  for (const char* bad : {"-1", "-0.5"}) {
+    ArgParser p{"prog", "test"};
+    register_scenario_options(p);
+    std::ostringstream err;
+    ASSERT_TRUE(parse(p, {"--duration", bad}, err));
+    EXPECT_FALSE(spec_from_args(p, err).has_value()) << bad;
+    EXPECT_NE(err.str().find("--duration must be >= 0"), std::string::npos) << bad;
+  }
+  for (const char* bad : {"nan", "inf"}) {
+    ArgParser p{"prog", "test"};
+    register_scenario_options(p);
+    std::ostringstream err;
+    EXPECT_FALSE(parse(p, {"--duration", bad}, err)) << bad;
+  }
+  // 0 still means "the scenario's own length".
+  ArgParser unset{"prog", "test"};
+  register_scenario_options(unset);
+  ArgParser zero{"prog", "test"};
+  register_scenario_options(zero);
+  std::ostringstream err;
+  ASSERT_TRUE(parse(unset, {"--scenario", "fig5"}, err));
+  ASSERT_TRUE(parse(zero, {"--scenario", "fig5", "--duration", "0"}, err));
+  const auto a = spec_from_args(unset, err);
+  const auto b = spec_from_args(zero, err);
+  ASSERT_TRUE(a.has_value() && b.has_value()) << err.str();
+  EXPECT_DOUBLE_EQ(b->duration.sec(), a->duration.sec());
+}
+
 TEST(ScenarioArgs, VariantSelectionsApply) {
   ArgParser p{"prog", "test"};
   register_scenario_options(p);

@@ -221,6 +221,51 @@ TEST(ParallelDeterminism, LpCountersAdvanceInPartitionedRuns) {
   EXPECT_EQ(s.cross_lp_events, 0u);
 }
 
+TEST(ParallelDeterminism, DropAndControlCountersSurviveLpWorkerThreads) {
+  // Counts bumped on an LP worker thread must reach the process
+  // aggregate (the worker flushes before it joins), so the per-cause
+  // drop counters sum to the run's own data-drop total and are the same
+  // whether one thread or two drive the LPs.
+  struct Reading {
+    corelite::sim::HotPathCounters counters;
+    std::uint64_t data_drops = 0;
+  };
+  const auto read = [](std::size_t lp, std::size_t lp_threads) {
+    rn::RunDescriptor d;
+    d.scenario = "gen-pl8-300";
+    d.mechanism = sc::Mechanism::Csfq;
+    d.seed = 42;
+    d.duration_sec = 10.0;
+    d.lp = lp;
+    d.lp_threads = lp_threads;
+    const sc::ScenarioSpec spec = rn::build_spec(d).value();
+    corelite::sim::reset_hotpath_counters();
+    const sc::ScenarioResult r = sc::run_paper_scenario(spec);
+    return Reading{corelite::sim::aggregated_hotpath_counters(), r.total_data_drops};
+  };
+  const auto drop_sum = [](const corelite::sim::HotPathCounters& c) {
+    return c.drops_admission + c.drops_queue_full + c.drops_queue_internal;
+  };
+
+  const Reading serial = read(1, 0);
+  EXPECT_GT(serial.data_drops, 0u);
+  EXPECT_EQ(drop_sum(serial.counters), serial.data_drops);
+
+  const Reading one = read(2, 1);
+  const Reading two = read(2, 2);
+  EXPECT_GT(one.data_drops, 0u);
+  EXPECT_EQ(drop_sum(one.counters), one.data_drops);
+  EXPECT_EQ(drop_sum(two.counters), two.data_drops);
+  EXPECT_GT(one.counters.relabels, 0u);
+  EXPECT_EQ(one.counters.drops_admission, two.counters.drops_admission);
+  EXPECT_EQ(one.counters.drops_control_loss, two.counters.drops_control_loss);
+  EXPECT_EQ(one.counters.drops_queue_full, two.counters.drops_queue_full);
+  EXPECT_EQ(one.counters.drops_queue_internal, two.counters.drops_queue_internal);
+  EXPECT_EQ(one.counters.markers_seen, two.counters.markers_seen);
+  EXPECT_EQ(one.counters.feedback_sent, two.counters.feedback_sent);
+  EXPECT_EQ(one.counters.relabels, two.counters.relabels);
+}
+
 TEST(ParallelDeterminism, DigestInvariantUnderWheelElision) {
   // The wheel/heap tiering must never reorder same-time events, so
   // turning the wheel off cannot change a partitioned run's digest.  The

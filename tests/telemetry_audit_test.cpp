@@ -21,7 +21,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "runner/sweep.h"
@@ -85,6 +87,26 @@ tel::FairnessAuditConfig rig_config() {
 
 std::vector<tel::FairnessAuditor::FlowInfo> two_flows() {
   return {{1, 1.0, {0}}, {2, 1.0, {0}}};
+}
+
+TEST(AuditorConfig, RejectsNonPositiveOrNonFiniteWindowAndBand) {
+  // A negative band flagged every window of a healthy run as a
+  // violation; a non-positive window never advances.
+  st::FlowTracker tracker;
+  const auto build = [&tracker](const tel::FairnessAuditConfig& cfg) {
+    const tel::FairnessAuditor auditor{cfg, tracker, {100.0}, two_flows(), nullptr};
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    tel::FairnessAuditConfig cfg = rig_config();
+    cfg.window = TimeDelta::seconds(bad);
+    EXPECT_THROW(build(cfg), std::invalid_argument) << "window " << bad;
+    cfg = rig_config();
+    cfg.band = bad;
+    EXPECT_THROW(build(cfg), std::invalid_argument) << "band " << bad;
+  }
+  EXPECT_NO_THROW(build(rig_config()));
 }
 
 TEST(AuditorMath, DeviationPinnedToWaterFillingOracle) {

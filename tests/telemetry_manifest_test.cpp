@@ -2,11 +2,12 @@
 // document every binary emits behind --telemetry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
+#include "sim/hotpath.h"
 #include "telemetry/manifest.h"
-#include "telemetry/metrics.h"
 
 namespace corelite::telemetry {
 namespace {
@@ -62,29 +63,27 @@ TEST(Manifest, DocumentCarriesEveryRequiredKey) {
   EXPECT_NE(out.find("\"build_type\""), std::string::npos);
   EXPECT_NE(out.find("\"wall_phases_ms\": {\"setup\": 1.5, \"run\": 250.25}"), std::string::npos);
   EXPECT_NE(out.find("\"exp_calls\": 7"), std::string::npos);
-  EXPECT_NE(out.find("\"metrics\": ["), std::string::npos);
   EXPECT_NE(out.find("\"extra\": {\"trace\": \"trace.json\"}"), std::string::npos);
 }
 
-TEST(Manifest, MetricsSectionReflectsTheLiveSnapshot) {
-  set_enabled(true);
-  reset_metrics();
-  const Counter c{"manifest.test.counter"};
-  const Histogram h{"manifest.test.hist"};
-  c.add(3);
-  h.observe(5.0);  // bucket [4, 8)
+TEST(Manifest, HotPathSectionListsEveryTableCounter) {
+  // Distinct values per field, so a name wired to the wrong member shows.
+  RunManifest m;
+  std::uint64_t v = 100;
+  for (const sim::HotPathField& f : sim::hotpath_fields()) m.hotpath.*f.member = v++;
 
   std::ostringstream os;
-  write_manifest(os, RunManifest{});
+  write_manifest(os, m);
   const std::string out = os.str();
-  EXPECT_NE(out.find("{\"name\": \"manifest.test.counter\", \"kind\": \"counter\", "
-                     "\"count\": 3, \"sum\": 3}"),
-            std::string::npos);
-  // Histograms render sparse [bucket_floor, count] pairs.
-  EXPECT_NE(out.find("\"buckets\": [[4, 1]]"), std::string::npos);
-
-  reset_metrics();
-  set_enabled(false);
+  const std::size_t section = out.find("\"hot_path_counters\": {");
+  ASSERT_NE(section, std::string::npos);
+  const std::string body = out.substr(section, out.find('}', section) - section);
+  v = 100;
+  for (const sim::HotPathField& f : sim::hotpath_fields()) {
+    const std::string entry = "\"" + std::string{f.name} + "\": " + std::to_string(v++);
+    EXPECT_NE(body.find(entry), std::string::npos) << entry;
+  }
+  EXPECT_EQ(sim::hotpath_fields().size() * sizeof(std::uint64_t), sizeof(sim::HotPathCounters));
 }
 
 }  // namespace

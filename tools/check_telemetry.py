@@ -18,9 +18,12 @@ Checks:
     complete span (ph "X") in EACH clock domain — pid 1 (virtual time)
     and pid 2 (sweep wall-clock);
   - the manifest carries every required key, its digest is 16 lowercase
-    hex digits, and the build/phase sub-objects are well-formed;
+    hex digits, the build/phase sub-objects are well-formed, and every
+    hot_path_counters value is a non-negative integer;
   - with --stdout, the manifest digest equals the "result digest: X"
-    line the binary printed (manifest-vs-output cross-check);
+    line the binary printed (manifest-vs-output cross-check), and for a
+    packet-mode single run that printed "data drops: N" the manifest's
+    per-cause drop counters sum to N;
   - the audit document follows schema "corelite-audit-v1": fairness
     windows with consistent per-flow samples and gauge vectors, a
     flight-recorder dump if (and only if) the watchdog fired, and
@@ -39,6 +42,9 @@ import sys
 
 DIGEST_RE = re.compile(r"^[0-9a-f]{16}$")
 STDOUT_DIGEST_RE = re.compile(r"result digest: ([0-9a-f]{16})")
+STDOUT_DROPS_RE = re.compile(r"data drops: (\d+)")
+# Packet-mode drop causes that make up a run's printed data-drop total.
+DATA_DROP_COUNTERS = ("drops_admission", "drops_queue_full", "drops_queue_internal")
 
 MANIFEST_REQUIRED = {
     "tool": str,
@@ -52,7 +58,6 @@ MANIFEST_REQUIRED = {
     "build": dict,
     "wall_phases_ms": dict,
     "hot_path_counters": dict,
-    "metrics": list,
     "extra": dict,
 }
 BUILD_REQUIRED = ("git_sha", "compiler", "flags", "build_type")
@@ -61,6 +66,13 @@ HOTPATH_REQUIRED = (
     "rng_draws",
     "observer_dispatches",
     "series_appends",
+    "drops_admission",
+    "drops_control_loss",
+    "drops_queue_full",
+    "drops_queue_internal",
+    "markers_seen",
+    "feedback_sent",
+    "relabels",
 )
 
 VIRTUAL_PID = 1
@@ -138,13 +150,16 @@ def check_manifest(path):
     for key in HOTPATH_REQUIRED:
         if key not in doc["hot_path_counters"]:
             raise CheckError(f"manifest: hot_path_counters.{key} missing")
+    for key, value in doc["hot_path_counters"].items():
+        # bool is an int subclass in Python; a counter is never one.
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise CheckError(
+                f"manifest: hot_path_counters.{key} should be a non-negative "
+                f"int, got {value!r}"
+            )
     for name, ms in doc["wall_phases_ms"].items():
         if not isinstance(ms, (int, float)) or ms < 0:
             raise CheckError(f"manifest: phase {name!r} has bad duration {ms!r}")
-    for i, m in enumerate(doc["metrics"]):
-        for key in ("name", "kind", "count", "sum"):
-            if key not in m:
-                raise CheckError(f"manifest: metrics[{i}] lacks {key!r}")
     return doc
 
 
@@ -275,6 +290,17 @@ def check_stdout(path, manifest):
             f"digest mismatch: stdout printed {match.group(1)} but the "
             f"manifest recorded {manifest['result_digest']}"
         )
+    drops = STDOUT_DROPS_RE.search(text)
+    # Fluid fast-forward synthesizes drops no link sees, so only packet
+    # runs must reconcile.
+    if drops and "fluid" not in manifest["extra"]:
+        counters = manifest["hot_path_counters"]
+        counted = sum(counters[k] for k in DATA_DROP_COUNTERS)
+        if counted != int(drops.group(1)):
+            raise CheckError(
+                f"drop mismatch: stdout printed data drops {drops.group(1)} but "
+                f"the manifest's {'+'.join(DATA_DROP_COUNTERS)} sum to {counted}"
+            )
 
 
 def main():

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,6 @@
 #include "stats/fairness.h"
 #include "telemetry/engine_probe.h"
 #include "telemetry/harness.h"
-#include "telemetry/metrics.h"
 
 namespace sc = corelite::scenario;
 namespace rn = corelite::runner;
@@ -62,7 +62,7 @@ std::string join_list(const std::vector<std::string>& items) {
 /// --telemetry / --trace-out / --manifest / --heartbeat, shared by the
 /// single-run and sweep paths.
 struct TelemetryArgs {
-  bool on = false;            ///< metrics + manifest enabled
+  bool on = false;            ///< write a run manifest
   std::string trace_path;     ///< empty = no trace file
   std::string manifest_path;  ///< where the manifest goes when on
   double heartbeat_sec = 0.0;
@@ -74,13 +74,13 @@ struct TelemetryArgs {
     t.manifest_path =
         parser.was_set("manifest") ? parser.get_string("manifest") : "run_manifest.json";
     t.heartbeat_sec = parser.get_double("heartbeat");
-    tel::set_enabled(t.on);
     return t;
   }
 };
 
 void register_telemetry_options(corelite::cli::ArgParser& parser) {
-  parser.add_flag("telemetry", "enable the metrics registry and write a run manifest");
+  parser.add_flag("telemetry",
+                  "write a run manifest (digest, build, phases and the always-on counters)");
   parser.add_string("trace-out", "",
                     "write a Chrome trace_event / Perfetto JSON trace here (implies --telemetry)");
   parser.add_string("manifest", "run_manifest.json",
@@ -92,9 +92,9 @@ void register_telemetry_options(corelite::cli::ArgParser& parser) {
                   "(implies --telemetry; adds audit sampler events to the run)");
   parser.add_string("audit-out", "fairness_audit.json",
                     "audit JSON document path (written when --audit is on)");
-  parser.add_double("audit-window", 6.4, "audit measurement window in seconds");
+  parser.add_double("audit-window", 6.4, "audit measurement window in seconds (> 0)");
   parser.add_double("audit-band", 0.40,
-                    "relative oracle-deviation band; beyond it a flow's window violates");
+                    "relative oracle-deviation band (> 0); beyond it a flow's window violates");
   parser.add_int("audit-watchdog", 4,
                  "consecutive violating windows before the watchdog fires (0 = disarm)");
   parser.add_string("flood", "",
@@ -108,19 +108,26 @@ struct AuditArgs {
   std::string out_path;
   tel::FairnessAuditConfig cfg;
   std::vector<double> flood_pps;  ///< 0-sized when --flood absent
-  bool flood_malformed = false;
+  std::string error;              ///< non-empty when an --audit-* or --flood value is bad
 
   static AuditArgs from(const corelite::cli::ArgParser& parser) {
     AuditArgs a;
     a.on = parser.get_flag("audit");
     a.out_path = parser.get_string("audit-out");
     a.cfg.enabled = a.on;
-    a.cfg.window = corelite::sim::TimeDelta::seconds(
-        std::max(1e-3, parser.get_double("audit-window")));
+    a.cfg.window = corelite::sim::TimeDelta::seconds(parser.get_double("audit-window"));
     a.cfg.band = parser.get_double("audit-band");
     const auto wd = parser.get_int("audit-watchdog");
     a.cfg.watchdog_enabled = wd > 0;
     if (wd > 0) a.cfg.watchdog_windows = static_cast<int>(wd);
+    if (a.on) {
+      try {
+        tel::FairnessAuditor::check_config(a.cfg);
+      } catch (const std::invalid_argument& e) {
+        a.error = e.what();
+        return a;
+      }
+    }
     if (parser.was_set("flood")) {
       const std::string text = parser.get_string("flood");
       for (const std::string& item : split_list(text)) {
@@ -130,7 +137,7 @@ struct AuditArgs {
                                ? -1.0
                                : std::strtod(item.c_str() + colon + 1, nullptr);
         if (colon == std::string::npos || id < 1 || !(pps > 0.0)) {
-          a.flood_malformed = true;
+          a.error = "malformed --flood list (expect flow:pps pairs)";
           break;
         }
         if (static_cast<std::size_t>(id) > a.flood_pps.size()) a.flood_pps.resize(id, 0.0);
@@ -168,34 +175,17 @@ void render_audit_outcome(const tel::FairnessAuditReport* fairness,
   }
 }
 
-// --profile: the always-on hot-path op counters, aggregated across every
-// run (and every sweep worker thread) this process executed.
-void print_hotpath_profile() {
-  const corelite::sim::HotPathCounters c = corelite::sim::aggregated_hotpath_counters();
-  std::printf("\nhot-path profile (process totals)\n");
-  std::printf("  exp calls            %12llu\n", static_cast<unsigned long long>(c.exp_calls));
-  std::printf("  rng draws            %12llu\n", static_cast<unsigned long long>(c.rng_draws));
-  std::printf("  observer dispatches  %12llu\n",
-              static_cast<unsigned long long>(c.observer_dispatches));
-  std::printf("  series appends       %12llu\n",
-              static_cast<unsigned long long>(c.series_appends));
-  std::printf("  wheel inserts        %12llu  (%.1f%% of events; heap %llu, cascades %llu)\n",
-              static_cast<unsigned long long>(c.wheel_inserts), c.wheel_insert_rate() * 100.0,
-              static_cast<unsigned long long>(c.heap_inserts),
-              static_cast<unsigned long long>(c.wheel_cascades));
-  std::printf("  lp barriers          %12llu  (cross-LP events %llu, mailbox flushes %llu)\n",
-              static_cast<unsigned long long>(c.lp_barriers),
-              static_cast<unsigned long long>(c.cross_lp_events),
-              static_cast<unsigned long long>(c.mailbox_flushes));
-  std::printf("  lp lookahead         %12.3f ms\n", c.lookahead_ns / 1e6);
-}
-
 // Sweep mode: seed × scenario × mechanism grid on a worker pool.
 int run_sweep(const corelite::cli::ArgParser& parser) {
   rn::SweepGrid grid;
   grid.repeats = static_cast<std::size_t>(parser.get_int("sweep"));
   grid.base_seed = static_cast<std::uint64_t>(parser.get_int("seed"));
   grid.duration_sec = parser.get_double("duration");
+  if (grid.duration_sec < 0.0) {
+    std::fprintf(stderr, "--duration must be >= 0 (0 = scenario default), got %g\n",
+                 grid.duration_sec);
+    return 2;
+  }
   grid.lp = static_cast<std::size_t>(std::max<std::int64_t>(0, parser.get_int("lp")));
   grid.lp_threads =
       static_cast<std::size_t>(std::max<std::int64_t>(0, parser.get_int("lp-threads")));
@@ -237,8 +227,8 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
 
   const TelemetryArgs tele = TelemetryArgs::from(parser);
   const AuditArgs audit = AuditArgs::from(parser);
-  if (audit.flood_malformed) {
-    std::fprintf(stderr, "malformed --flood list (expect flow:pps pairs)\n");
+  if (!audit.error.empty()) {
+    std::fprintf(stderr, "%s\n", audit.error.c_str());
     return 2;
   }
   tel::PhaseTimer phases;
@@ -340,7 +330,10 @@ int run_sweep(const corelite::cli::ArgParser& parser) {
     corelite::stats::write_sweep_csv(os, cells);
     std::fprintf(stderr, "wrote %s\n", parser.get_string("sweep-csv").c_str());
   }
-  if (parser.get_flag("profile")) print_hotpath_profile();
+  if (parser.get_flag("profile")) {
+    tel::print_hotpath_profile(stdout, "hot-path profile (process totals)",
+                               corelite::sim::aggregated_hotpath_counters());
+  }
 
   const tel::FairnessAuditReport* fairness =
       !results.empty() && results[0].audit ? results[0].audit.get() : nullptr;
@@ -458,8 +451,8 @@ int main(int argc, char** argv) {
 
   const TelemetryArgs tele = TelemetryArgs::from(parser);
   const AuditArgs audit = AuditArgs::from(parser);
-  if (audit.flood_malformed) {
-    std::fprintf(stderr, "malformed --flood list (expect flow:pps pairs)\n");
+  if (!audit.error.empty()) {
+    std::fprintf(stderr, "%s\n", audit.error.c_str());
     return 2;
   }
   tel::PhaseTimer phases;
@@ -582,7 +575,10 @@ int main(int argc, char** argv) {
     corelite::stats::write_run_json(os, meta, result.tracker);
     std::fprintf(stderr, "wrote %s\n", parser.get_string("json").c_str());
   }
-  if (parser.get_flag("profile")) print_hotpath_profile();
+  if (parser.get_flag("profile")) {
+    tel::print_hotpath_profile(stdout, "hot-path profile (process totals)",
+                               corelite::sim::aggregated_hotpath_counters());
+  }
 
   if (audit.on) {
     tel::AuditDocument doc;
