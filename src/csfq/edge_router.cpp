@@ -20,14 +20,12 @@ CsfqEdgeRouter::~CsfqEdgeRouter() { epoch_timer_.cancel(); }
 void CsfqEdgeRouter::add_flow(const net::FlowSpec& spec) {
   assert(spec.ingress == node_);
   assert(spec.valid());
-  auto fs = std::make_unique<FlowState>(spec, cfg_);
   if (tracker_ != nullptr) tracker_->declare_flow(spec.id, spec.weight);
-  FlowState& ref = *fs;
   if (spec.id >= by_id_.size()) by_id_.resize(spec.id + 1, nullptr);
   assert(by_id_[spec.id] == nullptr && "duplicate flow id");
-  by_id_[spec.id] = &ref;
-  flows_.push_back(std::move(fs));
-  schedule_window(ref, 0);
+  FlowState& fs = flows_.emplace_back(spec, cfg_);
+  by_id_[spec.id] = &fs;
+  schedule_window(fs, 0);
 }
 
 // Lazy lifecycle cursor: only the next transition of each flow sits in
@@ -40,14 +38,14 @@ void CsfqEdgeRouter::schedule_window(FlowState& fs, std::size_t window) {
     // Fluid fast-forward: transitions are pinned to absolute
     // *experiment* time in the warp registry, whose heap top also caps
     // how far a fast-forward jump may reach.
-    while (window < fs.spec.active.size() && fs.spec.active[window].stop <= sim.exp_now()) {
+    while (window < fs.windows.size() && fs.windows[window].stop <= sim.exp_now()) {
       ++window;
     }
-    if (window >= fs.spec.active.size()) return;
-    const sim::SimTime start = std::max(fs.spec.active[window].start, sim.exp_now());
+    if (window >= fs.windows.size()) return;
+    const sim::SimTime start = std::max(fs.windows[window].start, sim.exp_now());
     warp_->at_exp(start, [this, &fs, window] {
       start_flow(fs);
-      const sim::SimTime stop = fs.spec.active[window].stop;
+      const sim::SimTime stop = fs.windows[window].stop;
       if (stop < sim::SimTime::infinite()) {
         warp_->at_exp(stop, [this, &fs, window] {
           stop_flow(fs);
@@ -57,14 +55,14 @@ void CsfqEdgeRouter::schedule_window(FlowState& fs, std::size_t window) {
     });
     return;
   }
-  while (window < fs.spec.active.size() && fs.spec.active[window].stop <= sim.now()) {
+  while (window < fs.windows.size() && fs.windows[window].stop <= sim.now()) {
     ++window;  // window already wholly in the past
   }
-  if (window >= fs.spec.active.size()) return;
-  const sim::SimTime start = std::max(fs.spec.active[window].start, sim.now());
+  if (window >= fs.windows.size()) return;
+  const sim::SimTime start = std::max(fs.windows[window].start, sim.now());
   sim.at_detached(start, [this, &fs, window] {
     start_flow(fs);
-    const sim::SimTime stop = fs.spec.active[window].stop;
+    const sim::SimTime stop = fs.windows[window].stop;
     if (stop < sim::SimTime::infinite()) {
       net_.local_sim(node_).at_detached(stop, [this, &fs, window] {
         stop_flow(fs);
@@ -82,10 +80,11 @@ void CsfqEdgeRouter::start_flow(FlowState& fs) {
   fs.losses_this_epoch = 0;
   fs.estimator.reset();
   fs.ctrl->reset(net_.local_sim(node_).now());
+  fs.refresh_pace();
   if (tracker_ != nullptr) {
     // Rate samples live on the experiment-time axis (identical to the
     // engine clock whenever fluid fast-forward is off).
-    tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), fs.ctrl->rate_pps());
+    tracker_->record_rate(fs.id, net_.local_sim(node_).exp_now(), fs.ctrl->rate_pps());
   }
   emit_packet(fs);
 }
@@ -100,7 +99,7 @@ void CsfqEdgeRouter::stop_flow(FlowState& fs) {
   fs.active_slot = kNoSlot;
   ++fs.emit_gen;  // orphan any in-flight emission event
   fs.losses_this_epoch = 0;
-  if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, net_.local_sim(node_).exp_now(), 0.0);
+  if (tracker_ != nullptr) tracker_->record_rate(fs.id, net_.local_sim(node_).exp_now(), 0.0);
 }
 
 void CsfqEdgeRouter::emit_packet(FlowState& fs) {
@@ -112,21 +111,19 @@ void CsfqEdgeRouter::emit_packet(FlowState& fs) {
   net::Packet p;
   p.uid = net_.next_packet_uid(node_);
   p.kind = net::PacketKind::Data;
-  p.flow = fs.spec.id;
+  p.flow = fs.id;
   p.src = node_;
-  p.dst = fs.spec.egress;
+  p.dst = fs.egress;
   p.size = cfg_.packet_size;
-  p.label = estimate / fs.spec.weight;  // normalized rate label
+  p.label = estimate / fs.weight;  // normalized rate label
   p.created = now;
-  if (tracker_ != nullptr) tracker_->on_sent(fs.spec.id);
+  if (tracker_ != nullptr) tracker_->on_sent(fs.id);
   net_.inject(node_, std::move(p));
 
   // An unresponsive flood paces at its fixed rate regardless of the
   // controller; the label above still carries its true estimated rate,
   // so CSFQ cores see exactly what the protocol promises them.
-  const double rate = fs.spec.flood_pps > 0.0 ? fs.spec.flood_pps
-                                              : std::max(fs.ctrl->rate_pps(), 1e-3);
-  net_.local_sim(node_).after_detached(sim::TimeDelta::seconds(1.0 / rate),
+  net_.local_sim(node_).after_detached(sim::TimeDelta::seconds(1.0 / fs.pace_pps),
                                   [this, &fs, gen = fs.emit_gen] {
                                     if (gen == fs.emit_gen) emit_packet(fs);
                                   });
@@ -139,14 +136,15 @@ void CsfqEdgeRouter::on_epoch() {
     FlowState& fs = *fsp;
     const int losses = fs.losses_this_epoch;
     fs.losses_this_epoch = 0;
-    if (fs.spec.flood_pps > 0.0) {
+    if (fs.flood_pps > 0.0) {
       // Unresponsive source: loss feedback is discarded, the rate series
       // records the flood rate it actually emits at.
-      if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.spec.flood_pps);
+      if (tracker_ != nullptr) tracker_->record_rate(fs.id, exp_now, fs.flood_pps);
       continue;
     }
     fs.ctrl->on_epoch(losses, now);
-    if (tracker_ != nullptr) tracker_->record_rate(fs.spec.id, exp_now, fs.ctrl->rate_pps());
+    fs.refresh_pace();
+    if (tracker_ != nullptr) tracker_->record_rate(fs.id, exp_now, fs.ctrl->rate_pps());
   }
 }
 

@@ -14,6 +14,7 @@
 // over core routers.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -25,6 +26,7 @@
 #include "net/network.h"
 #include "net/packet.h"
 #include "qos/rate_controller.h"
+#include "sim/chunked_store.h"
 #include "sim/fluid/warp.h"
 #include "stats/flow_tracker.h"
 
@@ -54,24 +56,47 @@ class CsfqEdgeRouter {
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  struct FlowState {
-    net::FlowSpec spec;
-    std::unique_ptr<qos::RateController> ctrl;
+  /// Two cache lines.  The first holds everything emit_packet reads,
+  /// so a packet emission touches one line and no second heap object;
+  /// the second (activity windows, controller, epoch bookkeeping) is
+  /// touched per activity window or per epoch.
+  struct alignas(64) FlowState {
     ExponentialRateEstimator estimator;
     bool active = false;
-    int losses_this_epoch = 0;
     /// Emission events are fire-and-forget; stopping the flow bumps the
     /// generation so the old chain's in-flight event becomes a no-op.
     std::uint32_t emit_gen = 0;
+    net::FlowId id;
+    net::NodeId egress;
+    double weight;
+    /// Rate the source paces at: flood_pps for an unresponsive flood,
+    /// else a copy of the controller's allowed rate (floored at 1e-3
+    /// pkt/s), refreshed after every ctrl->reset and ctrl->on_epoch.
+    double pace_pps = 0.0;
+
+    std::vector<net::ActiveInterval> windows;  ///< the spec's activity windows
+    double flood_pps;
+    std::unique_ptr<qos::RateController> ctrl;
+    int losses_this_epoch = 0;
     /// Position in active_ while active (kNoSlot otherwise) — O(1)
     /// swap-removal when the flow stops.
     std::size_t active_slot = kNoSlot;
 
     FlowState(const net::FlowSpec& s, const CsfqConfig& cfg)
-        : spec{s},
-          ctrl{qos::make_rate_controller(cfg.adapt, s.min_rate_pps)},
-          estimator{cfg.k_flow} {}
+        : estimator{cfg.k_flow},
+          id{s.id},
+          egress{s.egress},
+          weight{s.weight},
+          windows{s.active},
+          flood_pps{s.flood_pps},
+          ctrl{qos::make_rate_controller(cfg.adapt, s.min_rate_pps)} {}
+
+    /// Re-read the pacing rate; call after any controller update.
+    void refresh_pace() {
+      pace_pps = flood_pps > 0.0 ? flood_pps : std::max(ctrl->rate_pps(), 1e-3);
+    }
   };
+  static_assert(sizeof(FlowState) == 2 * 64, "FlowState must stay two cache lines");
 
   /// Dense id-indexed lookup; nullptr for unknown flows.
   [[nodiscard]] FlowState* lookup(net::FlowId id) const {
@@ -90,11 +115,11 @@ class CsfqEdgeRouter {
   CsfqConfig cfg_;
   stats::FlowTracker* tracker_;
   sim::fluid::TimeWarp* warp_ = nullptr;
-  /// Owner (insertion order, address-stable via unique_ptr: emission
+  /// Owner (insertion order; appends never move a flow — emission
   /// events capture FlowState&), dense id index, and the set of
   /// currently active flows — per-epoch bookkeeping is O(active), and
   /// per-packet lookups are an array index instead of a hash probe.
-  std::vector<std::unique_ptr<FlowState>> flows_;
+  sim::ChunkedStore<FlowState> flows_;
   std::vector<FlowState*> by_id_;
   std::vector<FlowState*> active_;
   sim::PeriodicHandle epoch_timer_;

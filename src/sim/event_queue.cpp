@@ -6,10 +6,10 @@ namespace corelite::sim {
 
 EventHandle EventQueue::schedule(SimTime at, Callback cb) {
   const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
-  s.state = std::make_shared<EventHandle::State>();
-  EventHandle handle{s.state};
+  slots_[slot].cb = std::move(cb);
+  if (slot >= states_.size()) states_.resize(slots_.size());
+  states_[slot] = std::make_shared<EventHandle::State>();
+  EventHandle handle{states_[slot]};
   push_entry(at.sec(), slot, /*cancellable=*/true);
   return handle;
 }
@@ -17,13 +17,12 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
 void EventQueue::clear() {
   const auto discard = [this](const Entry& e) {
     const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-    Slot& s = slots_[slot];
-    if (s.state != nullptr) {
+    if ((e.key & kCancellableBit) != 0) {
       // Outstanding handles must not report pending() forever.
-      s.state->cancelled = true;
-      s.state.reset();
+      states_[slot]->cancelled = true;
+      states_[slot].reset();
     }
-    s.cb.reset();
+    slots_[slot].cb.reset();
     free_slots_.push_back(slot);
   };
   for (const Entry& e : heap_) discard(e);

@@ -27,9 +27,14 @@
 //   - Callbacks live in recycled slots; the wheel and heap both hold
 //     16-byte (time, seq|flags|slot) keys, so filing moves two words
 //     instead of a fat struct with a closure inside.
+//   - A slot is exactly one 64-byte cache line holding only the
+//     callback.  The handle state of cancellable events lives in a
+//     parallel per-slot array that detached events never touch.
 //   - The key carries a "cancellable" bit: skipping dead events only
-//     inspects slot state for events that actually own a handle, so the
-//     detached fast path never touches the slot array while peeking.
+//     inspects handle state for events that actually own a handle, so
+//     the detached fast path never touches the state array at all.
+//   - Firing a wheel event prefetches the slot of the next buffered
+//     entry, so its line is in flight while the current callback runs.
 //   - The hot methods are defined inline here; the tier merge and the
 //     schedule/fire pair inline into Simulator::run_until and the
 //     forwarding plane.
@@ -160,10 +165,11 @@ class EventQueue {
   // (~5*10^11 events) and 24 bits of slot (~16M concurrently pending
   // events) are far beyond any run we do.
   using Entry = WheelEntry;
-  struct Slot {
+  /// One cache line per pending event: firing touches a single line.
+  struct alignas(64) Slot {
     Callback cb;
-    std::shared_ptr<EventHandle::State> state;  ///< null for detached events
   };
+  static_assert(sizeof(Slot) == 64, "an event slot must fill exactly one cache line");
 
   /// The surfaced earliest live entry and which tier it came from.
   struct Front {
@@ -219,17 +225,21 @@ class EventQueue {
     const Entry top = *f.entry;
     if (f.from_wheel) {
       ++buf_pos_;
+      // The next buffered entry is almost always the next event fired:
+      // start loading its slot while this callback runs.
+      if (buf_pos_ < buffer_.size()) {
+        __builtin_prefetch(&slots_[buffer_[buf_pos_].key & kSlotMask]);
+      }
     } else {
       remove_root();
     }
     const auto slot = static_cast<std::uint32_t>(top.key & kSlotMask);
-    Slot& s = slots_[slot];
     // Move the callback out before invoking: the callback may schedule
-    // new events, which can grow the slot vector and invalidate `s`.
-    Callback cb = std::move(s.cb);
+    // new events, which can grow the slot vector.
+    Callback cb = std::move(slots_[slot].cb);
     if ((top.key & kCancellableBit) != 0) {
-      s.state->fired = true;
-      s.state.reset();
+      states_[slot]->fired = true;
+      states_[slot].reset();
     }
     free_slots_.push_back(slot);
     const SimTime t = SimTime::seconds(top.at);
@@ -270,10 +280,9 @@ class EventQueue {
   /// Release a cancelled entry's storage.  Returns false if it is live.
   bool recycle_if_cancelled(const Entry& e) const {
     const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-    Slot& s = slots_[slot];
-    if (!s.state->cancelled) return false;
-    s.cb.reset();
-    s.state.reset();
+    if (!states_[slot]->cancelled) return false;
+    slots_[slot].cb.reset();
+    states_[slot].reset();
     free_slots_.push_back(slot);
     return true;
   }
@@ -331,6 +340,9 @@ class EventQueue {
   mutable std::vector<Entry> buffer_;     ///< current wheel slot, sorted
   mutable std::size_t buf_pos_ = 0;       ///< consumed prefix of buffer_
   mutable std::vector<Slot> slots_;       ///< callback storage, recycled
+  /// Handle state per slot, parallel to slots_ but grown only by
+  /// schedule(): entries are null except under pending cancellable events.
+  mutable std::vector<std::shared_ptr<EventHandle::State>> states_;
   mutable std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   bool wheel_enabled_;

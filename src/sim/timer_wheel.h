@@ -63,14 +63,6 @@ class TimerWheel {
   /// enough that a 1 ms propagation delay spans only ~131 ticks.
   static constexpr double kTicksPerSecond = 131072.0;  // 2^17
 
-  TimerWheel() {
-    // Pre-size every slot so the steady state — including the first lap
-    // over far-out slots — never allocates on the scheduling path.
-    for (Level& lv : levels_) {
-      for (auto& slot : lv.slots) slot.reserve(4);
-    }
-  }
-
   /// Entries currently filed in the wheel (collected ones excluded).
   [[nodiscard]] std::size_t count() const { return count_; }
 
@@ -171,6 +163,9 @@ class TimerWheel {
   static constexpr double kMaxTick = 9.0e18;
 
   struct Level {
+    /// Slot vectors grow on first use and keep their capacity when
+    /// drained, so only a slot's first fills allocate, never the
+    /// steady state (and an unused slot costs no setup).
     std::array<std::vector<WheelEntry>, kSlots> slots;
     std::uint64_t occupied[kSlots / 64] = {};
     /// Entries filed at this level.  Steady-state traffic concentrates

@@ -7,40 +7,43 @@
 //     sampled periodically (Figure 4).
 // Plus drop and delivery counters used in the comparisons.
 //
-// Storage is scale-friendly: FlowSeries live in a deque (address-stable
-// slabs, no per-flow tree node), per-packet counter bumps go through a
-// dense id-indexed pointer table, and iteration (all(), totals,
-// sample_cumulative) walks a sorted id vector — 100k-flow populations
-// pay array walks, not red-black-tree traversals.
+// Storage is scale-friendly: FlowSeries live in a chunked store
+// (address-stable slabs, no per-flow tree node), per-packet counter
+// bumps go through a dense id-indexed pointer table, and iteration
+// (all(), totals, sample_cumulative) walks a sorted id vector — 100k-
+// flow populations pay array walks, not red-black-tree traversals.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "net/types.h"
+#include "sim/chunked_store.h"
 #include "sim/units.h"
 #include "stats/time_series.h"
 
 namespace corelite::stats {
 
-struct FlowSeries {
-  double weight = 1.0;
-  TimeSeries allotted_rate;        ///< b_g(f) in packets/s vs time
-  TimeSeries cumulative_delivered; ///< total data packets delivered vs time
+/// Cache-line aligned, with the per-packet counters in the first line:
+/// a sent or delivered packet bumps a counter in one line of its own.
+struct alignas(64) FlowSeries {
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;
   std::uint64_t sent = 0;
   std::uint64_t feedback_received = 0;  ///< Corelite markers / CSFQ loss notices
+  double weight = 1.0;
+  TimeSeries allotted_rate;        ///< b_g(f) in packets/s vs time
+  TimeSeries cumulative_delivered; ///< total data packets delivered vs time
 
   /// One-way delay samples (seconds), subsampled to bound memory:
   /// every `kDelaySampleStride`-th delivered packet contributes.
   std::vector<double> delay_samples;
 };
+static_assert(sizeof(FlowSeries) == 2 * 64, "FlowSeries must stay two cache lines");
 
 class FlowTracker {
  public:
@@ -167,19 +170,18 @@ class FlowTracker {
  private:
   /// Flow ids are small and dense, and these counters are bumped for
   /// every packet of every flow, so lookups go through a flat pointer
-  /// index.  The deque owns the series (address-stable, slab-allocated);
+  /// index.  The chunked store owns the series (address-stable);
   /// ids_ stays sorted so all() keeps the map's id-ordered iteration.
   FlowSeries& slot(net::FlowId id) {
     if (id < index_.size() && index_[id] != nullptr) return *index_[id];
-    storage_.emplace_back();
-    FlowSeries* fs = &storage_.back();
+    FlowSeries* fs = &storage_.emplace_back();
     if (id >= index_.size()) index_.resize(id + 1, nullptr);
     index_[id] = fs;
     ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), id), id);
     return *fs;
   }
 
-  std::deque<FlowSeries> storage_;
+  sim::ChunkedStore<FlowSeries> storage_;
   std::vector<net::FlowId> ids_;       ///< sorted; iteration order of all()
   std::vector<FlowSeries*> index_;     ///< dense: id -> series
   bool series_enabled_ = true;

@@ -3,7 +3,9 @@
 // probabilistic dropper, relabeling, and loss notification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "csfq/core.h"
 #include "csfq/edge_router.h"
@@ -229,6 +231,112 @@ TEST(CsfqNetwork, DropTailBaselineIsLessFairAtEqualWeights) {
   const double rb = f.tracker.series(2).allotted_rate.average_over(60, 120);
   // FIFO cannot enforce the 3:1 weighting; the ratio lands near 1.
   EXPECT_LT(rb / ra, 2.0);
+}
+
+// Logs every data packet an edge emits, with the edge's allowed rate
+// for its flow at that instant: the access link's enqueue fires inside
+// the emission, before the next one is scheduled.
+struct EmissionLog : net::LinkObserver {
+  struct Emission {
+    sim::SimTime at;
+    double rate_pps;
+  };
+  const CsfqEdgeRouter* edge = nullptr;
+  std::vector<Emission> flow1;
+  std::vector<Emission> flood;
+
+  void on_enqueue(const net::Packet& p, sim::SimTime now) override {
+    if (!p.is_data()) return;
+    (p.flow == 1 ? flow1 : flood).push_back({now, edge->current_rate_pps(p.flow)});
+  }
+};
+
+// The emission after `e` must follow it by exactly one period of the
+// rate in force at `e` (the edge floors the rate at 1e-3 pkt/s).
+void expect_paced(const EmissionLog::Emission& e, const EmissionLog::Emission& next,
+                  double rate_pps) {
+  const sim::SimTime due = e.at + sim::TimeDelta::seconds(1.0 / std::max(rate_pps, 1e-3));
+  EXPECT_EQ(next.at.sec(), due.sec()) << "emission at " << e.at.sec() << " s";
+}
+
+TEST(CsfqEdge, EmissionGapFollowsTheCurrentAllowedRate) {
+  sim::Simulator simulator{3};
+  net::Network network{simulator};
+  const net::NodeId edge = network.add_node("edge");
+  const net::NodeId sink = network.add_node("sink");
+  net::Link* access = network.connect_duplex(edge, sink, sim::Rate::mbps(100),
+                                             sim::TimeDelta::millis(1), 1000).first;
+  network.build_routes();
+  network.node(sink).set_local_sink([](net::Packet&&) {});
+
+  CsfqConfig cfg;
+  // A slow additive increase keeps the rate below its pre-loss value
+  // for many emissions after the loss epoch halves it.
+  cfg.adapt.alpha_pps = 0.01;
+  CsfqEdgeRouter router{network, edge, cfg};
+  EmissionLog log;
+  log.edge = &router;
+  access->add_observer(&log, net::Link::kObserveEnqueue);
+
+  // Flow 1 stops at 4.3 s and restarts at 6.2 s; flow 2 is a flood.
+  net::FlowSpec f1;
+  f1.id = 1;
+  f1.ingress = edge;
+  f1.egress = sink;
+  f1.active = {{at(0), at(4.3)}, {at(6.2), sim::SimTime::infinite()}};
+  router.add_flow(f1);
+  net::FlowSpec f2 = f1;
+  f2.id = 2;
+  f2.active = {{at(0), sim::SimTime::infinite()}};
+  f2.flood_pps = 250.0;
+  router.add_flow(f2);
+
+  // Three loss notices for flow 1 at 2.5 s: the next epoch ends its
+  // slow start by halving the rate.
+  double rate_before_losses = 0.0;
+  simulator.at(at(2.5), [&] {
+    rate_before_losses = router.current_rate_pps(1);
+    for (int i = 0; i < 3; ++i) {
+      net::Packet n;
+      n.kind = net::PacketKind::LossNotice;
+      n.flow = 1;
+      n.src = sink;
+      n.dst = edge;
+      n.size = sim::DataSize::bytes(64);
+      network.inject(sink, std::move(n));
+    }
+  });
+  simulator.run_until(at(10));
+  access->remove_observer(&log);
+  ASSERT_GE(router.loss_notices_received(), 3u);
+
+  const auto& e = log.flow1;
+  ASSERT_GT(e.size(), 10u);
+  bool after_start = false;
+  bool after_loss_epoch = false;
+  bool after_restart = false;
+  for (std::size_t i = 0; i + 1 < e.size(); ++i) {
+    if (e[i].at < at(4.3) && e[i + 1].at >= at(4.3)) {
+      // The restart emits at once, at the initial rate.
+      EXPECT_EQ(e[i + 1].at.sec(), 6.2);
+      EXPECT_DOUBLE_EQ(e[i + 1].rate_pps, cfg.adapt.initial_rate_pps);
+      continue;
+    }
+    expect_paced(e[i], e[i + 1], e[i].rate_pps);
+    if (i == 0) after_start = true;
+    if (e[i].at > at(2.5) && e[i].at < at(4.3) && e[i].rate_pps < rate_before_losses) {
+      after_loss_epoch = true;
+    }
+    if (e[i].at == at(6.2)) after_restart = true;
+  }
+  EXPECT_TRUE(after_start);
+  EXPECT_TRUE(after_loss_epoch);
+  EXPECT_TRUE(after_restart);
+
+  ASSERT_GT(log.flood.size(), 100u);
+  for (std::size_t i = 0; i + 1 < log.flood.size(); ++i) {
+    expect_paced(log.flood[i], log.flood[i + 1], 250.0);
+  }
 }
 
 TEST(CsfqNetwork, RouterDestructionDetachesObserversFromLinks) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/chunked_store.h"
 #include "sim/simulator.h"
 #include "sim/small_function.h"
 #include "sim/units.h"
@@ -123,6 +124,51 @@ TEST(EventQueue, ClearCancelsOutstandingHandles) {
   EXPECT_FALSE(fired);
 }
 
+TEST(EventQueue, StaleHandleDoesNotTouchTheEventReusingItsSlot) {
+  EventQueue q;
+  auto h = q.schedule(SimTime::seconds(1), [] {});
+  q.run_next();
+  ASSERT_FALSE(h.pending());
+  // The fired event's slot is recycled by the next event scheduled.
+  bool fired = false;
+  q.schedule_detached(SimTime::seconds(2), [&] { fired = true; });
+  EXPECT_EQ(q.slot_capacity(), 1u);
+  h.cancel();
+  EXPECT_FALSE(h.pending());
+  ASSERT_FALSE(q.empty());
+  q.run_next();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ClearCancelsHandlesAmongDetachedEvents) {
+  EventQueue q;
+  int fired = 0;
+  std::vector<EventHandle> handles;
+  // Mixed kinds, times near (wheel) and far (heap), and one slot that
+  // already cycled from a cancellable event to a detached one.
+  auto recycled = q.schedule(SimTime::seconds(0.5), [&] { ++fired; });
+  q.run_next();
+  for (int i = 0; i < 6; ++i) {
+    const SimTime at = SimTime::seconds(i % 2 == 0 ? 1.0 + i : 1e6 + i);
+    q.schedule_detached(at, [&] { ++fired; });
+    handles.push_back(q.schedule(at, [&] { ++fired; }));
+  }
+  handles.front().cancel();
+  for (std::size_t i = 1; i < handles.size(); ++i) ASSERT_TRUE(handles[i].pending());
+  q.clear();
+  for (const EventHandle& h : handles) EXPECT_FALSE(h.pending());
+  EXPECT_FALSE(recycled.pending());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, 1);
+  // Every slot went back to the pool: refilling needs no new one.
+  const std::size_t capacity = q.slot_capacity();
+  for (int i = 0; i < 12; ++i) q.schedule_detached(SimTime::seconds(2.0 + i), [&] { ++fired; });
+  EXPECT_EQ(q.slot_capacity(), capacity);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(fired, 13);
+}
+
 TEST(EventQueue, DetachedInterleavesWithHandledInScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -156,6 +202,36 @@ TEST(EventQueue, SlotsAreRecycled) {
   EXPECT_EQ(fired, 1000);
   // One event pending at a time -> the pool never grows past a handful.
   EXPECT_LE(q.slot_capacity(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// ChunkedStore
+
+TEST(ChunkedStore, ElementsKeepTheirAddressesAndDieOnce) {
+  struct Counted {
+    int value;
+    int* destroyed;
+    Counted(int v, int* d) : value{v}, destroyed{d} {}
+    Counted(const Counted&) = delete;
+    Counted& operator=(const Counted&) = delete;
+    ~Counted() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  {
+    ChunkedStore<Counted, 4> store;
+    std::vector<Counted*> addrs;
+    for (int i = 0; i < 10; ++i) addrs.push_back(&store.emplace_back(i, &destroyed));
+    // Moving the store hands over its chunks, not its elements.
+    ChunkedStore<Counted, 4> moved{std::move(store)};
+    moved.emplace_back(10, &destroyed);
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(addrs[static_cast<std::size_t>(i)]->value, i);
+    ChunkedStore<Counted, 4> assigned;
+    assigned.emplace_back(99, &destroyed);
+    assigned = std::move(moved);
+    EXPECT_EQ(destroyed, 1);  // the element `assigned` held before
+    EXPECT_EQ(addrs[9]->value, 9);
+  }
+  EXPECT_EQ(destroyed, 12);
 }
 
 // ---------------------------------------------------------------------------

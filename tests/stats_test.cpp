@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "net/types.h"
 #include "stats/csv_writer.h"
@@ -232,6 +234,64 @@ TEST(FlowTracker, CountsAndSeries) {
   EXPECT_DOUBLE_EQ(fs.cumulative_delivered.value_at(2.0), 1.0);
   EXPECT_EQ(t.total_delivered(), 1u);
   EXPECT_EQ(t.total_dropped(), 1u);
+}
+
+TEST(FlowTracker, EveryUpdatePathReachesEveryReader) {
+  FlowTracker t;
+  t.declare_flow(7, 3.0);
+  t.declare_flow(2, 1.0);
+  for (int i = 0; i < 5; ++i) t.on_sent(7);
+  t.on_delivered(7);
+  t.on_delivered(7);
+  // Delays are sampled on every kDelaySampleStride-th delivery of the
+  // flow, whichever overload delivered the packets before it.
+  for (std::uint64_t i = 0; i < 2 * FlowTracker::kDelaySampleStride; ++i) {
+    t.on_delivered(7, sim::TimeDelta::millis(static_cast<double>(i)));
+  }
+  t.on_dropped(7);
+  t.on_feedback(7);
+  t.on_feedback(7, 4);
+  t.add_synthesized(7, /*delivered_n=*/100, /*sent_n=*/200, /*dropped_n=*/3);
+  t.add_synthesized(2, 10, 11, 1);
+  t.on_dropped(2);
+  t.record_rate(7, sim::SimTime::seconds(1), 42.0);
+  t.sample_cumulative(sim::SimTime::seconds(2));
+
+  const std::uint64_t stride = FlowTracker::kDelaySampleStride;
+  const auto& s7 = t.series(7);
+  EXPECT_DOUBLE_EQ(s7.weight, 3.0);
+  EXPECT_EQ(s7.sent, 205u);
+  EXPECT_EQ(s7.delivered, 2u + 2 * stride + 100u);
+  EXPECT_EQ(s7.dropped, 4u);
+  EXPECT_EQ(s7.feedback_received, 5u);
+  // Deliveries 8 and 16 of the flow carry the delays 5 ms and 13 ms.
+  ASSERT_EQ(s7.delay_samples.size(), 2u);
+  EXPECT_DOUBLE_EQ(s7.delay_samples[0], 0.001 * static_cast<double>(stride - 3));
+  EXPECT_DOUBLE_EQ(s7.delay_samples[1], 0.001 * static_cast<double>(2 * stride - 3));
+  EXPECT_DOUBLE_EQ(s7.allotted_rate.value_at(1.0), 42.0);
+  EXPECT_DOUBLE_EQ(s7.cumulative_delivered.value_at(2.0),
+                   static_cast<double>(2 + 2 * stride + 100));
+
+  const auto& s2 = t.series(2);
+  EXPECT_EQ(s2.sent, 11u);
+  EXPECT_EQ(s2.delivered, 10u);
+  EXPECT_EQ(s2.dropped, 2u);
+  EXPECT_EQ(s2.feedback_received, 0u);
+  EXPECT_TRUE(s2.delay_samples.empty());
+
+  // all() walks the flows in id order and yields the same objects
+  // series() returns.
+  std::vector<net::FlowId> ids;
+  for (const auto& [id, fs] : t.all()) {
+    ids.push_back(id);
+    EXPECT_EQ(&fs, &t.series(id));
+  }
+  EXPECT_EQ(ids, (std::vector<net::FlowId>{2, 7}));
+  EXPECT_EQ(t.all().size(), 2u);
+  EXPECT_EQ(t.total_delivered(), s7.delivered + s2.delivered);
+  EXPECT_EQ(t.total_dropped(), 6u);
+  EXPECT_FALSE(t.has(3));
+  EXPECT_THROW((void)t.series(3), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
